@@ -86,6 +86,7 @@ from .torsion import (
     embed_root,
     frobenius_matrix,
     frobenius_permutation,
+    permutation_matrix,
     permutation_order,
     torsion_basis,
     two_torsion_points,

@@ -20,7 +20,6 @@ import csv
 import datetime
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -151,11 +150,6 @@ def _parse_symbolic(s: str) -> IntegerPolynomial:
     return IntegerPolynomial(coeffs)
 
 
-def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, ascending."""
-    return reciprocity.sieve_primes(bound)
-
-
 # ---------------------------------------------------------------------------
 # JSON building blocks
 # ---------------------------------------------------------------------------
@@ -189,8 +183,8 @@ def _splitting_json(st) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_factor(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
+def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
     p = config.prime
     ctx = ff.PrimeFieldContext(p)
     fbar = f.reduce_mod(ctx)
@@ -219,8 +213,8 @@ def _cmd_factor(config: RunConfig):
     return payload, "factors", fields, EXIT_OK
 
 
-def _cmd_torsion(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
+def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
     p = config.prime
     ctx = ff.PrimeFieldContext(p)
     fbar = f.reduce_mod(ctx)
@@ -252,8 +246,8 @@ def _verify_record_json(r: reciprocity.PrimeRecord) -> dict:
     }
 
 
-def _cmd_verify(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
+def _cmd_verify(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
     report = reciprocity.verify_law(
         f, config.bound, seed=config.seed, workers=config.workers
     )
@@ -275,8 +269,8 @@ def _cmd_verify(config: RunConfig):
     return payload, "records", fields, status
 
 
-def _cmd_spl(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
+def _cmd_spl(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
     primes = reciprocity.spl_set(f, config.bound)
     payload = {
         "polynomial": _poly_json(f),
@@ -287,8 +281,8 @@ def _cmd_spl(config: RunConfig):
     return payload, "primes", ["p"], EXIT_OK
 
 
-def _cmd_density(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
+def _cmd_density(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
     rep = reciprocity.density_report(f, config.bound, config.group_order)
     record = {
         "bound": rep.bound,
@@ -310,9 +304,8 @@ def _cmd_density(config: RunConfig):
     return payload, "records", fields, EXIT_OK
 
 
-def _cmd_include(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
-    h = parse_polynomial(config.polynomials[1])
+def _cmd_include(config: RunConfig, polys: list[IntegerPolynomial]):
+    f, h = polys
     rep = reciprocity.inclusion_check(f, h, config.bound)
     payload = {
         "f": _poly_json(f),
@@ -327,26 +320,25 @@ def _cmd_include(config: RunConfig):
     return payload, "exceptions", ["p"], EXIT_OK
 
 
-def _cmd_frobenius(config: RunConfig):
-    f = parse_polynomial(config.polynomials[0])
+def _cmd_frobenius(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
     records = []
     for p in reciprocity.good_primes(f, config.bound):
         fbar = f.reduce_mod(p)
         per_seed = f"{config.seed}:{p}"
         perm = torsion.frobenius_permutation(fbar, p, per_seed, cap=config.ext_cap)
-        M = torsion.frobenius_matrix(fbar, p, per_seed, cap=config.ext_cap)
+        M = torsion.permutation_matrix(perm)
+        # for squarefree f mod p, the degree of its splitting field is the
+        # order of Frobenius on the roots
+        order = torsion.permutation_order(perm)
         records.append(
             {
                 "p": p,
-                "splitting_degree": math.lcm(
-                    *(d for d, _ in reciprocity.splitting_type_mod_p(
-                        f, p, seed=config.seed
-                    ).pairs)
-                ),
+                "splitting_degree": order,
                 "matrix": M.to_lists(),
                 "order": M.order(),
                 "permutation": perm,
-                "permutation_order": torsion.permutation_order(perm),
+                "permutation_order": order,
                 "is_identity": M.is_identity,
                 "splits_completely": reciprocity.splits_completely(f, p),
             }
@@ -370,7 +362,7 @@ def _cmd_frobenius(config: RunConfig):
     return payload, "records", fields, EXIT_OK
 
 
-def _cmd_blowup(config: RunConfig):
+def _cmd_blowup(config: RunConfig, polys: list[IntegerPolynomial]):
     charts = torsion.blowup_chain(config.genus, config.coeffs, config.prime)
     records = [
         {
@@ -415,17 +407,6 @@ _COMMANDS = {
     "blowup": _cmd_blowup,
 }
 
-RECORDS_KEY = {
-    "factor": "factors",
-    "torsion": "elements",
-    "verify": "records",
-    "spl": "primes",
-    "density": "records",
-    "include": "exceptions",
-    "frobenius": "records",
-    "blowup": "charts",
-}
-
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -467,15 +448,16 @@ def _render_csv(records: list[dict], fieldnames: list[str]) -> str:
     return buf.getvalue()
 
 
-def _render_text(config: RunConfig, payload: dict, exit_status: int) -> str:
+def _render_text(
+    config: RunConfig, payload: dict, records_key: str, exit_status: int
+) -> str:
     lines = [f"splitlaw {config.command}"]
-    skip = {RECORDS_KEY[config.command], "violations"}
+    skip = {records_key, "violations"}
     for key, value in payload.items():
         if key in skip:
             continue
         lines.append(f"  {key}: {_cell(value)}")
-    records = payload[RECORDS_KEY[config.command]]
-    lines.append(f"  {RECORDS_KEY[config.command]}: {len(records)}")
+    lines.append(f"  {records_key}: {len(payload[records_key])}")
     if config.command == "verify" and payload["violations"]:
         lines.append("  VIOLATIONS:")
         for r in payload["violations"]:
@@ -497,15 +479,22 @@ def run(config: RunConfig) -> int:
     try:
         if config.bound is not None and config.bound < 2:
             raise SplitlawError("bound must be >= 2")
-        for text in config.polynomials:
-            f = parse_polynomial(text)
+        # refused here, before a sieve as large as the bound is allocated
+        if config.bound is not None and config.bound >= ff.MODULUS_BOUND:
+            raise SplitlawError(f"bound must be below 2**31, got {config.bound}")
+        if config.workers < 1:
+            raise SplitlawError(f"workers must be >= 1, got {config.workers}")
+        polys = [parse_polynomial(text) for text in config.polynomials]
+        for text, f in zip(config.polynomials, polys):
             if not f.is_monic:
                 print(
                     f"warning: {text!r} is not monic (leading coefficient "
                     f"{f.coeffs[-1] if f.coeffs else 0})",
                     file=sys.stderr,
                 )
-        payload, records_key, fieldnames, status = _COMMANDS[config.command](config)
+        payload, records_key, fieldnames, status = _COMMANDS[config.command](
+            config, polys
+        )
     except PolynomialSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -522,7 +511,7 @@ def run(config: RunConfig) -> int:
     elif config.fmt == "csv":
         _write(config, _render_csv(payload[records_key], fieldnames))
     else:
-        _write(config, _render_text(config, payload, status))
+        _write(config, _render_text(config, payload, records_key, status))
     return status
 
 

@@ -5,9 +5,10 @@ disc f) splits completely in the splitting field of f exactly when f mod p
 factors into distinct linear polynomials, and the law under test states this
 happens exactly when the rational 2-torsion of Jac(y^2 = f mod p) has full
 rank 2g. The sweep computes the two sides by disjoint code paths: the left
-by a gcd with x^p - x (no factorization), the right by building the whole
-2-torsion subgroup through Cantor arithmetic. Their agreement per prime is
-the verified instance of the law.
+by testing whether f divides x^p - x (no factorization; x^p - x has no
+repeated factor, so divisibility also excludes repeated roots), the right
+by building the whole 2-torsion subgroup through Cantor arithmetic. Their
+agreement per prime is the verified instance of the law.
 
 Good primes exclude p = 2 and p | disc(f). Any prime not dividing disc(f)
 is prime to the conductor of the order generated by a root of f, so this
@@ -31,8 +32,8 @@ from .errors import (
     ZeroDiscriminant,
 )
 from .jacobian import curve_new
-from .poly import IntegerPolynomial, Polynomial, SplittingType, factorize, poly_gcd
-from .torsion import two_torsion_rank
+from .poly import IntegerPolynomial, Polynomial, SplittingType, factorize
+from .torsion import two_torsion_points
 
 DEFAULT_SEED = 271828  # published default; all randomness derives from it
 
@@ -136,19 +137,16 @@ def splits_completely(f: IntegerPolynomial, p: int) -> bool:
     """True iff f mod p is squarefree with all factors linear.
 
     Computed without factorization: f mod p splits completely exactly when
-    it divides x^p - x, detected as gcd(x^p - x mod f, f) having full degree
-    together with gcd(f, f') = 1.
+    it divides x^p - x, the product of (x - a) over all a in F_p, tested as
+    x^p = x mod f. That product has no repeated factor, so divisibility
+    also settles squarefreeness.
     """
     ctx = ff.PrimeFieldContext(p)
     fbar = f.reduce_mod(ctx)
     if fbar.degree != f.degree or fbar.degree < 1:
         return False
-    d = fbar.derivative()
-    if d.is_zero or poly_gcd(fbar, d).degree != 0:
-        return False
     x = Polynomial.x(ctx)
-    linear_part = poly_gcd(x.pow_mod(p, fbar) - x, fbar)
-    return linear_part.degree == fbar.degree
+    return x.pow_mod(p, fbar) == x % fbar
 
 
 @dataclass(frozen=True)
@@ -222,15 +220,13 @@ def _prime_record(coeffs: tuple[int, ...], p: int, genus: int, seed) -> PrimeRec
     f = IntegerPolynomial(coeffs)
     ctx = ff.PrimeFieldContext(p)
     fbar = f.reduce_mod(ctx)
-    per_seed = f"{seed}:{p}"
     split = splits_completely(f, p)
-    st = factorize(fbar, per_seed).splitting_type()
-    rank = two_torsion_rank(curve_new(fbar), seed=per_seed)
-    law = split == (rank == 2 * genus)
+    sub = two_torsion_points(curve_new(fbar), seed=f"{seed}:{p}")
+    law = split == (sub.rank == 2 * genus)
     return PrimeRecord(
         p=p,
-        splitting=st,
-        torsion_rank=rank,
+        splitting=sub.factorization.splitting_type(),
+        torsion_rank=sub.rank,
         splits_completely=split,
         law_consistent=law,
     )

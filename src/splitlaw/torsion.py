@@ -24,14 +24,16 @@ from dataclasses import dataclass
 from . import ff
 from .errors import (
     BadCharacteristic,
+    EvenDegree,
     NonTerminating,
     NotARoot,
     NotSquarefree,
+    UnsupportedDegree,
 )
 from .jacobian import HyperellipticCurve, MumfordDivisor, add, curve_new
 from .poly import (
+    Factorization,
     Polynomial,
-    _is_squarefree_unguarded,
     embed_poly,
     factorize,
     roots_in,
@@ -47,6 +49,7 @@ class TwoTorsionSubgroup:
     elements: tuple[MumfordDivisor, ...]
     rank: int
     n: int  # distinct irreducible factors of f
+    factorization: Factorization  # of f, the source of the elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -95,7 +98,9 @@ def two_torsion_points(C: HyperellipticCurve, seed=_TORSION_SEED) -> TwoTorsionS
         raise RuntimeError(
             f"found {len(elements)} two-torsion classes, expected {1 << rank}"
         )
-    return TwoTorsionSubgroup(elements=tuple(elements), rank=rank, n=n)
+    return TwoTorsionSubgroup(
+        elements=tuple(elements), rank=rank, n=n, factorization=fact
+    )
 
 
 def two_torsion_rank(C: HyperellipticCurve, seed=_TORSION_SEED) -> int:
@@ -122,26 +127,20 @@ class TorsionBasis:
 
 
 def _splitting_data(f: Polynomial, p: int, seed, cap: int):
-    """Splitting field of f mod p, base-changed curve, and ordered roots."""
+    """Splitting field of f mod p and the roots of f in it, canonical order."""
     if not isinstance(f.ctx, ff.PrimeFieldContext) or f.ctx.p != p:
         raise ValueError(f"polynomial is not over F_{p}")
-    if not _is_squarefree_unguarded(f):
-        raise NotSquarefree(f"polynomial is not squarefree mod {p}")
     fact = factorize(f, seed)
+    if any(m > 1 for _, m in fact.factors):
+        raise NotSquarefree(f"polynomial is not squarefree mod {p}")
     k = math.lcm(*(part.degree for part, _ in fact.factors))
-    if k == 1:
-        ctx: ff.FieldContext = f.ctx
-        fs = f
-    else:
-        ctx = ff.ext_new(p, k, seed, cap=cap)
-        fs = embed_poly(f, ctx)
-    curve = curve_new(fs)
-    roots = tuple(roots_in(fs, ctx))
+    ctx = f.ctx if k == 1 else ff.ext_new(p, k, seed, cap=cap)
+    roots = tuple(roots_in(f, ctx))
     if len(roots) != f.degree:
         raise RuntimeError(
             f"found {len(roots)} roots in F_{p}^{k}, expected {f.degree}"
         )
-    return ctx, curve, roots
+    return ctx, roots
 
 
 def torsion_basis(
@@ -153,7 +152,8 @@ def torsion_basis(
     subset sums of the basis are nonzero (exhaustive for g <= 3), and the
     sum of all 2g+1 embedded roots is the identity.
     """
-    ctx, curve, roots = _splitting_data(f, p, seed, cap)
+    ctx, roots = _splitting_data(f, p, seed, cap)
+    curve = curve_new(f if ctx is f.ctx else embed_poly(f, ctx))
     g = curve.genus
     basis = tuple(embed_root(e, curve) for e in roots[: 2 * g])
     for D in basis:
@@ -297,7 +297,7 @@ def frobenius_permutation(
     f: Polynomial, p: int, seed, *, cap: int = ff.DEFAULT_EXT_CAP
 ) -> list[int]:
     """Image indices of the roots of f mod p under x -> x^p, canonical order."""
-    ctx, _, roots = _splitting_data(f, p, seed, cap)
+    ctx, roots = _splitting_data(f, p, seed, cap)
     index = {e.value: i for i, e in enumerate(roots)}
     perm = []
     for e in roots:
@@ -313,13 +313,23 @@ def frobenius_matrix(
 ) -> BinaryMatrix:
     """The Frobenius action on the 2-torsion basis as a matrix in GL_2g(F_2).
 
-    Column i is the image of v_i expanded in the basis, using the relation
-    v_{2g+1} = v_1 + ... + v_2g when the permuted root falls off the basis.
     The matrix is the identity exactly when f splits into linear factors
     over F_p (trivial permutation).
     """
-    perm = frobenius_permutation(f, p, seed, cap=cap)
+    return permutation_matrix(frobenius_permutation(f, p, seed, cap=cap))
+
+
+def permutation_matrix(perm: list[int]) -> BinaryMatrix:
+    """A permutation of the 2g+1 roots acting on the basis v_1..v_2g.
+
+    Column i is the image of v_i expanded in the basis, using the relation
+    v_{2g+1} = v_1 + ... + v_2g when the permuted root falls off the basis.
+    """
     m = len(perm)  # 2g + 1
+    if m % 2 == 0:
+        raise EvenDegree(f"{m} roots; the 2-torsion basis needs an odd count")
+    if m < 3:
+        raise UnsupportedDegree("the 2-torsion basis needs genus >= 1")
     size = m - 1  # 2g
     all_ones = (1 << size) - 1
     cols = []

@@ -9,12 +9,19 @@ import csv
 import importlib.resources
 import io
 import json
+import math
 
 import pytest
 import jsonschema
 
-from splitlaw import PolynomialSyntaxError, __version__
-from splitlaw.cli import _cell, main, parse_polynomial, sieve_primes
+from splitlaw import (
+    PolynomialSyntaxError,
+    __version__,
+    reciprocity,
+    sieve_primes,
+    splitting_type_mod_p,
+)
+from splitlaw.cli import _cell, main, parse_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +254,26 @@ def test_usage_errors_exit_one(capsys):
     status, _, err = run_cli(capsys, "factor", "x^3-2", "-p", "9")
     assert status == 1
 
+    status, _, err = run_cli(capsys, "frobenius", "x^4+1", "--bound", "50")
+    assert status == 1 and "EvenDegree" in err
+
     status, _, err = run_cli(capsys, "blowup", "--genus", "2", "--coeffs", "1,q", "-p", "7")
     assert status == 1
+
+
+def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sieve or pool started before the limits were checked")
+
+    monkeypatch.setattr(reciprocity, "sieve_primes", refuse)
+    monkeypatch.setattr(reciprocity, "ProcessPoolExecutor", refuse)
+    for workers in ("0", "-3"):
+        status, _, err = run_cli(
+            capsys, "verify", "x^3-2", "--bound", "100", "--workers", workers
+        )
+        assert status == 1 and "workers" in err
+    status, _, err = run_cli(capsys, "verify", "x^3-2", "--bound", "2147483648")
+    assert status == 1 and "bound" in err
 
 
 def test_argparse_misuse_exits_one():
@@ -258,6 +283,19 @@ def test_argparse_misuse_exits_one():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 1
+
+
+def test_frobenius_splitting_degree_matches_factorization(capsys, schema):
+    # splitting_degree is read off the Frobenius permutation; the lcm of the
+    # factor degrees of f mod p is an independent route to the same number
+    doc = run_json(capsys, schema, "frobenius", "x^5-x-1", "--bound", "200")
+    f = parse_polynomial("x^5-x-1")
+    records = doc["payload"]["records"]
+    assert len(records) == 43
+    for r in records:
+        st = splitting_type_mod_p(f, r["p"], seed=doc["config"]["seed"])
+        assert r["splitting_degree"] == math.lcm(*(d for d, _ in st.pairs)), r["p"]
+        assert r["order"] == r["permutation_order"], r["p"]
 
 
 def test_failing_inclusion_still_exits_zero(capsys, schema):

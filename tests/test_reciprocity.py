@@ -167,11 +167,13 @@ def brute_splits(f, p):
         [-1, -1, 0, 0, 0, 1],
         [1, 0, 0, 0, 0, 1],
         [3, -4, 1, 0, 2, 0, 0, 1],
+        [1, -1, -1, 1],  # (x - 1)^2 (x + 1): a repeated root at every prime
     ],
 )
 def test_splits_completely_against_root_scan(coeffs):
+    # every odd prime, bad ones included, so repeated roots mod p are checked
     f = IntegerPolynomial(coeffs)
-    for p in good_primes(f, 300):
+    for p in sieve_primes(300)[1:]:
         assert splits_completely(f, p) == brute_splits(f, p), p
 
 
@@ -224,6 +226,7 @@ def test_verify_law_record_cross_check():
     report = verify_law(CUBE, 60)
     for r in report.records:
         assert r.splits_completely == r.splitting.all_linear
+        assert r.splitting == splitting_type_mod_p(CUBE, r.p)
         assert r.law_consistent == (r.splits_completely == (r.torsion_rank == 2))
         # recompute the rank through the public curve route
         C = curve_new(CUBE.reduce_mod(r.p))

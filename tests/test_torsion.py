@@ -52,7 +52,7 @@ def test_cubic_two_torsion_counts(p, count, rank, n):
     sub = two_torsion_points(C)
     assert len(sub) == count == len(sub.elements)
     assert sub.rank == rank
-    assert sub.n == n
+    assert sub.n == n == sub.factorization.splitting_type().factor_count
     assert two_torsion_rank(C) == rank
     assert len(sub.elements) == 2 ** (n - 1)
 
