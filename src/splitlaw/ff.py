@@ -67,103 +67,97 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Low-level F_p[x] helpers on plain int lists (ascending, normalized).
-# These back the extension-field arithmetic; the general polynomial layer in
-# poly.py is built on top of the contexts defined here, not the reverse.
+# The F_p[x] kernel: polynomials over a prime field as int tuples (ascending,
+# normalized: no trailing zero), p passed explicitly. It backs F_{p^k}
+# arithmetic here and every prime-field Polynomial in poly.py, which keeps
+# context-generic loops only for coefficients in F_{p^k}. Algorithms are the
+# classical ones (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).
 # ---------------------------------------------------------------------------
 
 
-def _pnormalize(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _pnorm(c: Sequence[int]) -> tuple:
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
+    """Product with delayed reduction: one % p per coefficient."""
     if not a or not b:
-        return []
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnormalize(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    out = [c % p for c in out]
+    return tuple(out) if out[-1] else _pnorm(out)
 
 
-def _prem(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo monic m."""
+def _psub(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _pnorm(out)
+
+
+def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by nonzero b; a longer than b is normalized."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), _pnorm(a)
+    binv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
     r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dm
+    q = [0] * (len(a) - db)
+    for top in range(len(a) - 1, db - 1, -1):
+        lead = r[top] % p
         if lead:
-            for i in range(dm):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-        _pnormalize(r)
-    return r
+            c = lead * binv % p
+            q[top - db] = c
+            for i in range(db):
+                r[top - db + i] -= c * b[i]
+    r = [c % p for c in r[:db]]
+    return tuple(q), (tuple(r) if r and r[-1] else _pnorm(r))
 
 
-def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    return _prem(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _prem(a, m, p)
+def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
+    """a^e mod m; e = 0 gives (1,) whatever m is."""
+    result = (1,)
+    base = _pdivmod(a, m, p)[1]
     while e:
         if e & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
+            result = _pdivmod(_pmul(result, base, p), m, p)[1]
         e >>= 1
+        if e:
+            base = _pdivmod(_pmul(base, base, p), m, p)[1]
     return result
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
+    """Monic gcd, without cofactors."""
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [c * inv % p for c in b]
-        a, b = b, _prem(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _pdivmod(a, b, p)[1]
+    if not a or a[-1] == 1:
+        return tuple(a)
+    inv = pow(a[-1], p - 2, p)
+    return tuple(c * inv % p for c in a)
 
 
-def _pinvmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Inverse of a modulo monic irreducible m, via extended Euclid."""
-    r0, r1 = list(m), _prem(a, m, p)
-    s0, s1 = [], [1]
+def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple, tuple]:
+    """(g, s, t) with monic g = s*a + t*b."""
+    r0, r1 = a, b
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
     while r1:
-        inv = pow(r1[-1], p - 2, p)
-        r1m = [c * inv % p for c in r1]
-        q = _pquo(r0, r1m, p)
-        q = _pmul(q, [inv], p)
-        r0, r1 = r1, _pnormalize([(x - y) % p for x, y in itertools.zip_longest(r0, _pmul(q, r1, p), fillvalue=0)])
-        s0, s1 = s1, _pnormalize([(x - y) % p for x, y in itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
-    if len(r0) != 1:
-        raise NonInvertible("element is not invertible modulo the given modulus")
-    c = pow(r0[0], p - 2, p)
-    return _prem([x * c % p for x in s0], m, p)
-
-
-def _pquo(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Quotient of a by monic m."""
-    r = list(a)
-    dm = len(m) - 1
-    q = [0] * max(len(r) - dm, 0)
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        q[shift] = lead
-        if lead:
-            for i in range(dm):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-        _pnormalize(r)
-    return _pnormalize(q)
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
+    if r0 and r0[-1] != 1:
+        scale = (pow(r0[-1], p - 2, p),)
+        r0, s0, t0 = _pmul(r0, scale, p), _pmul(s0, scale, p), _pmul(t0, scale, p)
+    return tuple(r0), s0, t0
 
 
 def _pirreducible(m: Sequence[int], p: int) -> bool:
@@ -173,12 +167,11 @@ def _pirreducible(m: Sequence[int], p: int) -> bool:
         return False
     if n == 1:
         return True
-    x = [0, 1]
+    x = (0, 1)
     if _ppowmod(x, p**n, m, p) != x:
         return False
     for ell in _prime_divisors(n):
-        h = _ppowmod(x, p ** (n // ell), m, p)
-        diff = _pnormalize([(c - d) % p for c, d in itertools.zip_longest(h, x, fillvalue=0)])
+        diff = _psub(_ppowmod(x, p ** (n // ell), m, p), x, p)
         if len(_pgcd(diff, m, p)) != 1:
             return False
     return True
@@ -352,12 +345,16 @@ class ExtFieldContext:
         return tuple(-x % p for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return self._pad(_pmulmod(a, b, self.modulus, self.base.p))
+        p = self.base.p
+        return self._pad(_pdivmod(_pmul(a, b, p), self.modulus, p)[1])
 
     def inv(self, a: tuple) -> tuple:
         if not any(a):
             raise NonInvertible(f"0 has no inverse in F_{self.base.p}^{self.k}")
-        return self._pad(_pinvmod(a, self.modulus, self.base.p))
+        g, s, _ = _pxgcd(a, self.modulus, self.base.p)
+        if g != (1,):
+            raise NonInvertible("element is not invertible modulo the given modulus")
+        return self._pad(s)
 
     def pow_(self, a: tuple, e: int) -> tuple:
         if e < 0:
@@ -370,12 +367,6 @@ class ExtFieldContext:
     # -- conversions --------------------------------------------------------
     def embed(self, c: int) -> tuple:
         return (c % self.base.p,) + (0,) * (self.k - 1)
-
-    def gen(self) -> tuple:
-        """Raw value of the residue class of x."""
-        if self.k == 1:
-            return (-self.modulus[0] % self.base.p,)
-        return (0, 1) + (0,) * (self.k - 2)
 
     def element(self, v) -> "FieldElement":
         if isinstance(v, FieldElement):

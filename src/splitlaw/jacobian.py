@@ -207,50 +207,12 @@ def enumerate_jacobian(C: HyperellipticCurve, cap: int = DEFAULT_ENUM_CAP) -> li
 
     out = [C.identity()]
     raws = list(ctx.iter_raw())
-    fc = C.f.coeffs
-    zero = ctx.zero
     for d in range(1, g + 1):
-        vtails = list(itertools.product(raws, repeat=d))
+        vs = [Polynomial(ctx, vt) for vt in itertools.product(raws, repeat=d)]
         for tail in itertools.product(raws, repeat=d):
             u = Polynomial._raw(ctx, tail + (ctx.one,))
-            # f mod u, padded to length d for direct comparison
-            fu = list((Polynomial._raw(ctx, fc) % u).coeffs)
-            fu += [zero] * (d - len(fu))
-            fu = tuple(fu)
-            uc = u.coeffs
-            for vt in vtails:
-                if _sq_mod(ctx, vt, uc, d) == fu:
-                    v = Polynomial._raw(ctx, _trim(vt, zero))
-                    out.append(MumfordDivisor._make(C, u, v))
+            fu = C.f % u
+            # u | v^2 - f exactly when v^2 and f agree mod u
+            out.extend(MumfordDivisor._make(C, u, v) for v in vs if v * v % u == fu)
     out.sort(key=MumfordDivisor.key)
     return out
-
-
-def _trim(t: tuple, zero) -> tuple:
-    n = len(t)
-    while n and t[n - 1] == zero:
-        n -= 1
-    return t[:n]
-
-
-def _sq_mod(ctx, vt: tuple, u: tuple, d: int) -> tuple:
-    """(v^2 mod u) as a tuple of length d, for monic u of degree d."""
-    zero = ctx.zero
-    add_, mul = ctx.add, ctx.mul
-    w = [zero] * (2 * d - 1) if d else []
-    for i, a in enumerate(vt):
-        if a == zero:
-            continue
-        for j, b in enumerate(vt):
-            if b != zero:
-                w[i + j] = add_(w[i + j], mul(a, b))
-    sub = ctx.sub
-    for top in range(2 * d - 2, d - 1, -1):
-        lead = w[top]
-        if lead == zero:
-            continue
-        w[top] = zero
-        shift = top - d
-        for i in range(d):
-            w[shift + i] = sub(w[shift + i], mul(lead, u[i]))
-    return tuple(w[:d]) if d else ()

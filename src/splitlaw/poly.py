@@ -3,7 +3,9 @@
 Coefficients are stored as raw context values (see ff) in ascending order,
 normalized so the zero polynomial is the empty tuple and any other leading
 coefficient is nonzero. All operations work uniformly over F_p and F_{p^k}
-contexts.
+contexts. Over a prime field, multiplication, division, gcds and modular
+powers run on the int-tuple F_p[x] kernel in ff; the context-generic loops
+below serve coefficients in F_{p^k} only.
 
 Factorization follows the classic pipeline: squarefree decomposition, then
 distinct-degree splitting against x^(q^d) - x, then randomized equal-degree
@@ -54,6 +56,8 @@ def _neg_raw(ctx, a: tuple) -> tuple:
 
 
 def _mul_raw(ctx, a: tuple, b: tuple) -> tuple:
+    if type(ctx) is ff.PrimeFieldContext:
+        return ff._pmul(a, b, ctx.p)
     if not a or not b:
         return ()
     zero = ctx.zero
@@ -70,11 +74,13 @@ def _mul_raw(ctx, a: tuple, b: tuple) -> tuple:
 
 def _divmod_raw(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     """Quotient and remainder; b must be nonzero."""
+    if type(ctx) is ff.PrimeFieldContext:
+        return ff._pdivmod(a, b, ctx.p)
     zero = ctx.zero
     db = len(b) - 1
     if len(a) < len(b):
         return (), a
-    binv = ctx.inv(b[-1])
+    binv = ctx.one if b[-1] == ctx.one else ctx.inv(b[-1])
     sub, mul = ctx.sub, ctx.mul
     r = list(a)
     q = [zero] * (len(a) - db)
@@ -98,6 +104,8 @@ def _monic_raw(ctx, a: tuple) -> tuple:
 
 
 def _gcd_raw(ctx, a: tuple, b: tuple) -> tuple:
+    if type(ctx) is ff.PrimeFieldContext:
+        return ff._pgcd(a, b, ctx.p)
     while b:
         a, b = b, _divmod_raw(ctx, a, b)[1]
     return _monic_raw(ctx, a)
@@ -105,6 +113,8 @@ def _gcd_raw(ctx, a: tuple, b: tuple) -> tuple:
 
 def _xgcd_raw(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
     """Monic g with g = s*a + t*b."""
+    if type(ctx) is ff.PrimeFieldContext:
+        return ff._pxgcd(a, b, ctx.p)
     r0, r1 = a, b
     s0, s1 = (ctx.one,), ()
     t0, t1 = (), (ctx.one,)
@@ -123,6 +133,8 @@ def _xgcd_raw(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
 
 
 def _powmod_raw(ctx, a: tuple, e: int, m: tuple) -> tuple:
+    if type(ctx) is ff.PrimeFieldContext:
+        return ff._ppowmod(a, e, m, ctx.p)
     result = (ctx.one,)
     base = _divmod_raw(ctx, a, m)[1]
     while e:
@@ -444,7 +456,7 @@ def is_squarefree(f: Polynomial) -> bool:
         raise UnsupportedDegree(
             f"degree {f.degree} not below characteristic {f.ctx.char}"
         )
-    return poly_gcd(f, f.derivative()).degree == 0
+    return _is_squarefree_unguarded(f)
 
 
 def _is_squarefree_unguarded(f: Polynomial) -> bool:

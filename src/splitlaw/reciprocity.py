@@ -18,6 +18,7 @@ finitely many exceptions tolerates.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,7 +247,9 @@ def verify_law(
     """Check the law at every good prime <= bound.
 
     Records are listed by ascending prime regardless of worker scheduling,
-    so reports are reproducible for a fixed seed.
+    so reports are reproducible for a fixed seed. The process pool is no
+    wider than the good-prime count or the CPU count; at width 1 the sweep
+    runs serially in this process.
     """
     genus = _validate_law_input(f)
     disc = discriminant(f)
@@ -256,7 +259,8 @@ def verify_law(
     bad = tuple(p for p in primes if p == 2 or disc % p == 0)
     good = [p for p in primes if p != 2 and disc % p != 0]
     tasks = [(f.coeffs, p, genus, seed) for p in good]
-    if workers > 1 and len(good) > 1:
+    workers = min(workers, len(good), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             records = tuple(pool.map(_record_task, tasks, chunksize=chunk))

@@ -203,9 +203,6 @@ class BinaryMatrix:
                     rows[i] |= 1 << j
         return cls(rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
-
     def column(self, j: int) -> int:
         return sum((self.rows[i] >> j & 1) << i for i in range(self.n))
 

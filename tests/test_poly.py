@@ -11,10 +11,11 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitlaw import (
+    ExtFieldContext,
     IntegerPolynomial,
     Polynomial,
     PrimeFieldContext,
@@ -113,6 +114,39 @@ def test_xgcd_bezout_identity(p, da, db, seed):
     assert g.is_monic
     assert divmod(a, g)[1].is_zero and divmod(b, g)[1].is_zero
     assert poly_gcd(a, b) == g
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 13]),
+    a=st.lists(st.integers(0, 12), max_size=8),
+    b=st.lists(st.integers(0, 12), max_size=6),
+    e=st.integers(0, 40),
+)
+@example(p=5, a=[2, 1], b=[3], e=0)
+@example(p=7, a=[1, 2, 3], b=[4], e=5)
+@settings(max_examples=120, deadline=None)
+def test_prime_field_kernel_matches_generic_path(p, a, b, e):
+    # F_p as a degree-1 extension has 1-tuple elements, so its polynomials
+    # take the context-generic loops and serve as the reference.
+    ctx = PrimeFieldContext(p)
+    ref = ExtFieldContext(ctx, (0, 1))
+    a, b = Polynomial(ctx, a), Polynomial(ctx, b)
+    ra, rb = embed_poly(a, ref), embed_poly(b, ref)
+
+    def lift(*polys):
+        return tuple(embed_poly(f, ref) for f in polys)
+
+    assert lift(a * b) == (ra * rb,)
+    if not b.is_zero:
+        assert lift(*divmod(a, b)) == divmod(ra, rb)
+        assert lift(a.pow_mod(e, b)) == (ra.pow_mod(e, rb),)
+        if e == 0:
+            assert a.pow_mod(e, b) == Polynomial.one(ctx)
+    if not (a.is_zero and b.is_zero):
+        assert lift(poly_gcd(a, b)) == (poly_gcd(ra, rb),)
+        g, s, t = poly_xgcd(a, b)
+        assert s * a + t * b == g
+        assert lift(g, s, t) == poly_xgcd(ra, rb)
 
 
 def test_gcd_of_two_zeros_is_undefined():

@@ -6,6 +6,7 @@ fast complete-splitting test is checked against a brute-force root scan
 and against the factorization route it deliberately avoids.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from splitlaw import (
     two_torsion_rank,
     verify_law,
 )
-from splitlaw import Polynomial, PrimeFieldContext, curve_new
+from splitlaw import Polynomial, PrimeFieldContext, curve_new, reciprocity
 
 X = sympy.Symbol("x")
 CUBE = IntegerPolynomial([-2, 0, 0, 1])  # x^3 - 2
@@ -237,6 +238,31 @@ def test_verify_law_is_worker_invariant():
     a = verify_law(CUBE, 400, workers=1)
     b = verify_law(CUBE, 400, workers=3)
     assert a == b
+
+
+def test_verify_law_pool_is_no_wider_than_primes_or_cpus(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records the requested width and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(reciprocity, "ProcessPoolExecutor", SerialPool)
+    report = verify_law(CUBE, 200, workers=10**6)
+    width = min(len(report.records), os.cpu_count() or 1)
+    assert asked == ([width] if width > 1 else [])
+    assert report == verify_law(CUBE, 200)
 
 
 def test_verify_law_quintic():
