@@ -161,34 +161,21 @@ def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple, tu
 
 
 def _pirreducible(m: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for monic m over F_p."""
+    """Ben-Or irreducibility test for monic m over F_p.
+
+    A reducible m of degree n has an irreducible factor of some degree
+    i <= n/2, which then divides gcd(x^(p^i) - x, m). Trying i = 1, 2, ...
+    in turn rejects most reducible candidates after a few p-th powers.
+    """
     n = len(m) - 1
     if n < 1:
         return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    if _ppowmod(x, p**n, m, p) != x:
-        return False
-    for ell in _prime_divisors(n):
-        diff = _psub(_ppowmod(x, p ** (n // ell), m, p), x, p)
-        if len(_pgcd(diff, m, p)) != 1:
+    x = y = (0, 1)
+    for _ in range(n // 2):
+        y = _ppowmod(y, p, m, p)
+        if len(_pgcd(_psub(y, x, p), m, p)) != 1:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

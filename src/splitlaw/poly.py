@@ -11,6 +11,11 @@ Factorization follows the classic pipeline: squarefree decomposition, then
 distinct-degree splitting against x^(q^d) - x, then randomized equal-degree
 splitting. The randomness is an explicit seed, and factors are returned in
 a canonical order, so results are reproducible.
+
+Root finding takes f with F_p coefficients and a field F_q, q = p^k. It
+isolates one root of each F_p factor of gcd(x^q - x, f) by Cantor-Zassenhaus
+descent over F_q and reads the others off its Frobenius orbit r -> r^p
+(von zur Gathen & Gerhard, Modern Computer Algebra, 14.3-14.5).
 """
 
 from __future__ import annotations
@@ -570,13 +575,15 @@ def _distinct_degree_parts(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Split a product of degree-d irreducibles into its factors (q odd)."""
-    if f.degree == d:
-        return [f]
+def _random_split(f: Polynomial, d: int, rng: random.Random) -> Polynomial:
+    """A proper monic factor of f, a product of degree-d irreducibles (q odd).
+
+    Cantor-Zassenhaus: a random t of degree below deg f either shares a
+    factor with f or, with probability about 1/2, splits it through
+    gcd(t^((q^d - 1)/2) - 1, f). Gives up after 128 draws.
+    """
     ctx = f.ctx
-    q = ctx.order
-    exponent = (q**d - 1) // 2
+    exponent = (ctx.order**d - 1) // 2
     one = Polynomial.one(ctx)
     for _ in range(128):
         t = Polynomial._raw(
@@ -586,13 +593,19 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
             continue
         g = poly_gcd(t, f)
         if 0 < g.degree < f.degree:
-            pass  # lucky split by a shared factor
-        else:
-            g = poly_gcd(t.pow_mod(exponent, f) - one, f)
-            if not 0 < g.degree < f.degree:
-                continue
-        return _equal_degree_split(g, d, rng) + _equal_degree_split(f.exact_div(g), d, rng)
+            return g  # lucky split by a shared factor
+        g = poly_gcd(t.pow_mod(exponent, f) - one, f)
+        if 0 < g.degree < f.degree:
+            return g
     raise RuntimeError("equal-degree splitting failed to converge")
+
+
+def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
+    """Split a product of degree-d irreducibles into its factors (q odd)."""
+    if f.degree == d:
+        return [f]
+    g = _random_split(f, d, rng)
+    return _equal_degree_split(g, d, rng) + _equal_degree_split(f.exact_div(g), d, rng)
 
 
 def factorize(f: Polynomial, seed) -> Factorization:
@@ -620,29 +633,42 @@ def factorize(f: Polynomial, seed) -> Factorization:
 
 
 def roots_in(f: Polynomial, ctx: ff.FieldContext) -> list[ff.FieldElement]:
-    """All distinct roots of f in the given field, in canonical order.
+    """All distinct roots in ctx of f over the prime field F_p beneath ctx.
 
-    f may live over the prime field underneath an extension context; it is
-    embedded before solving.
+    h = gcd(x^q - x, f) is formed over F_p. Then, until h = 1, one root r of
+    h is isolated by Cantor-Zassenhaus over ctx, always keeping the smaller
+    part of a split, and the rest of the roots of r's minimal polynomial m
+    are its Frobenius orbit r, r^p, r^(p^2), ...; m is divided out of h.
+    Roots are returned in canonical order. f must have F_p coefficients.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every element as a root")
-    if f.ctx != ctx:
-        if not isinstance(ctx, ff.ExtFieldContext):
-            raise ValueError("polynomial belongs to a different context")
-        f = embed_poly(f, ctx)
-    if f.degree < 1:
-        return []
+    ext = isinstance(ctx, ff.ExtFieldContext)
+    base = ctx.base if ext else ctx
+    if f.ctx != base:
+        raise ValueError("f must have coefficients in the prime field of ctx")
     f = f.monic()
-    x = Polynomial.x(ctx)
-    # product of (x - e) over distinct roots e: gcd with x^q - x
-    linear_part = poly_gcd(x.pow_mod(ctx.order, f) - x, f)
-    if linear_part.degree < 1:
-        return []
+    x = Polynomial.x(base)
+    h = poly_gcd(x.pow_mod(ctx.order, f) - x, f)
     rng = random.Random(_ROOTS_SEED)
-    roots = [
-        ff.FieldElement(ctx, ctx.neg(g.coeffs[0]))
-        for g in _equal_degree_split(linear_part, 1, rng)
-    ]
+    roots = []
+    while h.degree > 0:
+        g = embed_poly(h, ctx) if ext else h
+        while g.degree > 1:
+            part = _random_split(g, 1, rng)
+            g = part if 2 * part.degree <= g.degree else g.exact_div(part)
+        r = ctx.neg(g.coeffs[0])
+        orbit = [r]
+        e = ctx.frobenius(r)
+        while e != r:
+            orbit.append(e)
+            e = ctx.frobenius(e)
+        m = (ctx.one,)
+        for e in orbit:
+            m = _mul_raw(ctx, m, (ctx.neg(e), ctx.one))
+        if ext:  # m has F_p coefficients, embedded as (c, 0, ..., 0)
+            m = tuple(c[0] for c in m)
+        h = h.exact_div(Polynomial._raw(base, m))
+        roots.extend(ff.FieldElement(ctx, e) for e in orbit)
     roots.sort(key=lambda e: e.key())
     return roots

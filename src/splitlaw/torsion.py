@@ -127,7 +127,10 @@ class TorsionBasis:
 
 
 def _splitting_data(f: Polynomial, p: int, seed, cap: int):
-    """Splitting field of f mod p and the roots of f in it, canonical order."""
+    """Splitting field of f mod p and the roots of f in it, canonical order.
+
+    The roots are found one irreducible factor of f mod p at a time.
+    """
     if not isinstance(f.ctx, ff.PrimeFieldContext) or f.ctx.p != p:
         raise ValueError(f"polynomial is not over F_{p}")
     fact = factorize(f, seed)
@@ -135,7 +138,12 @@ def _splitting_data(f: Polynomial, p: int, seed, cap: int):
         raise NotSquarefree(f"polynomial is not squarefree mod {p}")
     k = math.lcm(*(part.degree for part, _ in fact.factors))
     ctx = f.ctx if k == 1 else ff.ext_new(p, k, seed, cap=cap)
-    roots = tuple(roots_in(f, ctx))
+    roots = tuple(
+        sorted(
+            (e for part, _ in fact.factors for e in roots_in(part, ctx)),
+            key=ff.FieldElement.key,
+        )
+    )
     if len(roots) != f.degree:
         raise RuntimeError(
             f"found {len(roots)} roots in F_{p}^{k}, expected {f.degree}"

@@ -10,7 +10,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitlaw import (
@@ -19,13 +19,16 @@ from splitlaw import (
     ExtFieldContext,
     FieldElement,
     NonInvertible,
+    Polynomial,
     PrimeFieldContext,
     ext_frobenius,
     ext_new,
+    factorize,
     fp_inv,
     fp_pow,
     is_prime,
 )
+from splitlaw.ff import _pirreducible
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 97, 101]
 
@@ -206,6 +209,42 @@ def test_ext_new_enforces_cap():
         ext_new(3, 5, seed=0, cap=4)
     with pytest.raises(ValueError):
         ext_new(3, 0, seed=0)
+
+
+# The moduli the seeded search settles on. They fix the root labels in
+# frobenius reports, so a faster irreducibility test must not move them.
+@pytest.mark.parametrize(
+    "p,k,seed,modulus",
+    [
+        (3, 2, 0, (2, 1, 1)),
+        (3, 6, 1, (2, 0, 2, 0, 1, 1, 1)),
+        (5, 3, 7, (2, 1, 3, 1)),
+        (5, 5, 271828, (1, 0, 3, 0, 1, 1)),
+        (7, 4, 2, (2, 2, 4, 1, 1)),
+        (7, 6, 314159, (1, 0, 0, 2, 6, 2, 1)),
+        (31, 2, 5, (23, 11, 1)),
+        (31, 3, 42, (20, 3, 0, 1)),
+        (97, 4, 11, (57, 71, 59, 57, 1)),
+        (97, 5, 3, (77, 1, 60, 33, 70, 1)),
+    ],
+)
+def test_ext_new_moduli_are_pinned(p, k, seed, modulus):
+    assert ext_new(p, k, seed=seed).modulus == modulus
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    low=st.lists(st.integers(0, 10), min_size=1, max_size=8),
+)
+@example(p=5, low=[2, 0])  # x^2 + 2, irreducible
+@example(p=5, low=[4, 0, 4, 0])  # (x^2 + 2)^2
+@example(p=3, low=[1, 0, 1, 0, 0, 0, 0, 1])  # x^8 + x^7 + x^2 + 1, irreducible
+@example(p=3, low=[1, 0, 2, 0, 0, 0, 1, 0])  # two distinct irreducible quartics
+@settings(max_examples=200, deadline=None)
+def test_irreducibility_test_agrees_with_factorize(p, low):
+    m = tuple(c % p for c in low) + (1,)
+    fact = factorize(Polynomial(PrimeFieldContext(p), m), seed=0)
+    assert _pirreducible(m, p) == (len(fact.factors) == 1 and fact.factors[0][1] == 1)
 
 
 @given(

@@ -31,6 +31,7 @@ from splitlaw import (
     roots_in,
     splitting_type,
 )
+from splitlaw.poly import _random_split
 
 X = sympy.Symbol("x")
 
@@ -330,6 +331,67 @@ def test_roots_in_counts_distinct_roots_once():
     f = Polynomial(ctx, [1, 1]) ** 3  # (x+1)^3
     roots = roots_in(f, ctx)
     assert [r.value for r in roots] == [4]
+
+
+@given(
+    pk=st.sampled_from(
+        [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3),
+         (7, 1), (7, 2), (7, 3), (11, 2), (13, 2), (17, 2), (31, 1)]
+    ),
+    seed=st.integers(0, 3),
+    lead=st.integers(1, 342),
+    factors=st.lists(
+        st.tuples(st.lists(st.integers(0, 342), min_size=1, max_size=3), st.integers(1, 2)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+# (x^3 - x - 1)(x^2 + 1)^2 over F_3: a cubic with no root in F_9, a squared quadratic
+@example(pk=(3, 2), seed=0, lead=2, factors=[([2, 2, 0], 1), ([1, 0], 2)])
+@settings(max_examples=120, deadline=None)
+def test_roots_in_matches_brute_force(pk, seed, lead, factors):
+    """f is a product of monic factors of degree 1-3, some squared, degree <= 7."""
+    p, k = pk
+    ctx = ext_new(p, k, seed=seed)
+    f = Polynomial.constant(ctx.base, lead % p or 1)
+    for low, mult in factors:
+        if f.degree + mult * len(low) <= 7:
+            f = f * Polynomial(ctx.base, low + [1]) ** mult
+    fe = embed_poly(f, ctx)
+    expected = sorted(e for e in ctx.iter_raw() if fe.evaluate_raw(e) == ctx.zero)
+    assert [r.value for r in roots_in(f, ctx)] == expected
+
+
+def test_roots_in_needs_prime_field_coefficients():
+    ext = ext_new(5, 2, seed=9)
+    f = Polynomial(ext.base, [-2, 0, 0, 1])
+    with pytest.raises(ValueError, match="prime field"):
+        roots_in(embed_poly(f, ext), ext)
+    with pytest.raises(ValueError, match="prime field"):
+        roots_in(Polynomial(PrimeFieldContext(7), [1, 1]), ext)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        roots_in(Polynomial.zero(ext.base), ext)
+
+
+class ZeroRandom(random.Random):
+    """Every draw is 0, so no random polynomial can split anything."""
+
+    calls = 0
+
+    def randrange(self, *args, **kwargs):
+        self.calls += 1
+        return 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_random_split_gives_up_after_128_draws(k):
+    f = Polynomial(PrimeFieldContext(5), [2, -3, 1])  # (x - 1)(x - 2)
+    if k > 1:
+        f = embed_poly(f, ext_new(5, k, seed=1))
+    rng = ZeroRandom(0)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        _random_split(f, 1, rng)
+    assert rng.calls == 128 * f.degree * k
 
 
 def test_embed_poly_respects_evaluation():

@@ -261,6 +261,36 @@ def test_quintic_frobenius_consistency(p):
         assert Mk == matrix_from_permutation(perm_k)
 
 
+def cycle_lengths(perm):
+    seen, out = set(), []
+    for i in range(len(perm)):
+        n = 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            n += 1
+        if n:
+            out.append(n)
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "coeffs,bound",
+    [([-1, -1, 0, 0, 0, 1], 200), ([3, 1, -4, 1, 5, -9, 1, 1], 60)],
+    ids=["x^5-x-1", "septic"],
+)
+def test_frobenius_cycle_type_is_the_factorization_type(coeffs, bound):
+    """Each Frobenius orbit of roots is the root set of one F_p factor."""
+    from splitlaw import IntegerPolynomial, factorize, good_primes
+
+    f = IntegerPolynomial(coeffs)
+    for p in good_primes(f, bound):
+        fbar = f.reduce_mod(p)
+        perm = frobenius_permutation(fbar, p, seed=p)
+        degrees = sorted(g.degree for g, _ in factorize(fbar, seed=0).factors)
+        assert cycle_lengths(perm) == degrees, p
+
+
 def test_identity_matrix_iff_split():
     from splitlaw import good_primes, IntegerPolynomial, splits_completely
 
