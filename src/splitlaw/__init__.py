@@ -45,10 +45,7 @@ from .ff import (
     ExtFieldContext,
     FieldElement,
     PrimeFieldContext,
-    ext_frobenius,
     ext_new,
-    fp_inv,
-    fp_pow,
     is_prime,
 )
 from .poly import (
@@ -59,19 +56,15 @@ from .poly import (
     embed_poly,
     factorize,
     is_squarefree,
-    poly_divmod,
     poly_gcd,
     poly_xgcd,
     roots_in,
-    splitting_type,
 )
 from .jacobian import (
     DEFAULT_ENUM_CAP,
     HyperellipticCurve,
     MumfordDivisor,
     add,
-    curve_new,
-    divisor_new,
     enumerate_jacobian,
     neg,
     scalar_mul,
@@ -84,13 +77,11 @@ from .torsion import (
     TwoTorsionSubgroup,
     blowup_chain,
     embed_root,
-    frobenius_matrix,
     frobenius_permutation,
     permutation_matrix,
     permutation_order,
     torsion_basis,
     two_torsion_points,
-    two_torsion_rank,
 )
 from .reciprocity import (
     DEFAULT_SEED,

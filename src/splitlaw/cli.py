@@ -218,7 +218,7 @@ def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
     p = config.prime
     ctx = ff.PrimeFieldContext(p)
     fbar = f.reduce_mod(ctx)
-    curve = jacobian.curve_new(fbar)
+    curve = jacobian.HyperellipticCurve(fbar)
     sub = torsion.two_torsion_points(curve, seed=f"{config.seed}:{p}")
     elements = [
         {"u": _field_poly_json(D.u), "v": _field_poly_json(D.v)}
@@ -570,10 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--ext-cap", type=int, default=ff.DEFAULT_EXT_CAP,
             help="largest allowed splitting-field degree",
         )
-        sp.add_argument(
-            "--enum-cap", type=int, default=jacobian.DEFAULT_ENUM_CAP,
-            help="largest allowed brute-force enumeration size",
-        )
 
     sp = sub.add_parser("factor", help="splitting type of f mod p")
     sp.add_argument("polynomial")
@@ -646,7 +642,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         output=args.output,
         workers=getattr(args, "workers", 1),
         ext_cap=args.ext_cap,
-        enum_cap=args.enum_cap,
         group_order=getattr(args, "group_order", None),
         genus=getattr(args, "genus", None),
         coeffs=coeffs,

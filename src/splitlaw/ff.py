@@ -506,30 +506,3 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(self.ctx, self.ctx.inv(self.value))
 
-
-# ---------------------------------------------------------------------------
-# Public wrappers
-# ---------------------------------------------------------------------------
-
-
-def fp_inv(a: FieldElement, ctx: FieldContext | None = None) -> FieldElement:
-    """Multiplicative inverse; raises NonInvertible on zero."""
-    if ctx is not None and a.ctx != ctx:
-        raise ValueError("element does not belong to the given context")
-    return a.inverse()
-
-
-def fp_pow(a: FieldElement, e: int, ctx: FieldContext | None = None) -> FieldElement:
-    """a**e by square-and-multiply; a**0 == 1, including 0**0."""
-    if ctx is not None and a.ctx != ctx:
-        raise ValueError("element does not belong to the given context")
-    if e == 0:
-        return FieldElement(a.ctx, a.ctx.one)
-    return a**e
-
-
-def ext_frobenius(a: FieldElement, ctx: ExtFieldContext | None = None) -> FieldElement:
-    """The p-power map a -> a^p, generating Gal(F_{p^k} / F_p)."""
-    if ctx is not None and a.ctx != ctx:
-        raise ValueError("element does not belong to the given context")
-    return FieldElement(a.ctx, a.ctx.frobenius(a.value))

@@ -27,7 +27,7 @@ from .errors import (
     NotSquarefree,
     UnsupportedDegree,
 )
-from .poly import Polynomial, _is_squarefree_unguarded, poly_xgcd
+from .poly import Polynomial, is_squarefree, poly_xgcd
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -46,7 +46,7 @@ class HyperellipticCurve:
             raise UnsupportedDegree("degree must be at least 3 for genus >= 1")
         if not f.is_monic:
             raise NotMonic("curve polynomial must be monic")
-        if not _is_squarefree_unguarded(f):
+        if not is_squarefree(f):
             raise NotSquarefree("curve polynomial has a repeated root")
         self.f = f
         self.genus = (f.degree - 1) // 2
@@ -74,10 +74,21 @@ class MumfordDivisor:
     __slots__ = ("curve", "u", "v")
 
     def __init__(self, curve: HyperellipticCurve, u: Polynomial, v: Polynomial):
-        validated = divisor_new(u, v, curve)
+        """Validated reduced divisor (u, v) on curve; (1, 0) is the identity."""
+        u._check(v)
+        if u.ctx != curve.f.ctx:
+            raise CurveMismatch("divisor polynomials live over a different field")
+        if u.is_zero or not u.is_monic:
+            raise NotMonic("u must be monic")
+        if u.degree > curve.genus:
+            raise NotReduced(f"deg u = {u.degree} exceeds genus {curve.genus}")
+        if not v.is_zero and v.degree >= u.degree:
+            raise NotReduced("deg v must be below deg u")
+        if not ((v * v - curve.f) % u).is_zero:
+            raise NotOnJacobian("u does not divide v^2 - f")
         self.curve = curve
-        self.u = validated.u
-        self.v = validated.v
+        self.u = u
+        self.v = v
 
     @classmethod
     def _make(cls, curve, u, v) -> "MumfordDivisor":
@@ -118,38 +129,11 @@ class MumfordDivisor:
         return f"MumfordDivisor(u={self.u}, v={self.v})"
 
 
-def curve_new(f: Polynomial) -> HyperellipticCurve:
-    """Validated curve y^2 = f(x); genus is (deg f - 1) / 2."""
-    return HyperellipticCurve(f)
-
-
-def divisor_new(u: Polynomial, v: Polynomial, C: HyperellipticCurve) -> MumfordDivisor:
-    """Validated reduced divisor (u, v) on C; (1, 0) is the identity."""
-    u._check(v)
-    if u.ctx != C.f.ctx:
-        raise CurveMismatch("divisor polynomials live over a different field")
-    if u.is_zero or not u.is_monic:
-        raise NotMonic("u must be monic")
-    if u.degree > C.genus:
-        raise NotReduced(f"deg u = {u.degree} exceeds genus {C.genus}")
-    if not v.is_zero and v.degree >= u.degree:
-        raise NotReduced("deg v must be below deg u")
-    if not ((v * v - C.f) % u).is_zero:
-        raise NotOnJacobian("u does not divide v^2 - f")
-    return MumfordDivisor._make(C, u, v)
-
-
-def _require_same_curve(D1: MumfordDivisor, D2: MumfordDivisor, C) -> HyperellipticCurve:
-    if D2 is not None and D1.curve != D2.curve:
-        raise CurveMismatch("divisors lie on different curves")
-    if C is not None and C != D1.curve:
-        raise CurveMismatch("divisor does not lie on the given curve")
-    return D1.curve
-
-
-def add(D1: MumfordDivisor, D2: MumfordDivisor, C: HyperellipticCurve | None = None) -> MumfordDivisor:
+def add(D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
     """Cantor composition and reduction of divisor classes."""
-    curve = _require_same_curve(D1, D2, C)
+    curve = D1.curve
+    if D2.curve != curve:
+        raise CurveMismatch("divisors lie on different curves")
     f, g = curve.f, curve.genus
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
@@ -170,18 +154,16 @@ def add(D1: MumfordDivisor, D2: MumfordDivisor, C: HyperellipticCurve | None = N
     return MumfordDivisor._make(curve, u, v)
 
 
-def neg(D: MumfordDivisor, C: HyperellipticCurve | None = None) -> MumfordDivisor:
+def neg(D: MumfordDivisor) -> MumfordDivisor:
     """The inverse class (u, -v mod u)."""
-    curve = _require_same_curve(D, None, C)
-    return MumfordDivisor._make(curve, D.u, (-D.v) % D.u)
+    return MumfordDivisor._make(D.curve, D.u, (-D.v) % D.u)
 
 
-def scalar_mul(n: int, D: MumfordDivisor, C: HyperellipticCurve | None = None) -> MumfordDivisor:
+def scalar_mul(n: int, D: MumfordDivisor) -> MumfordDivisor:
     """n-fold sum by double-and-add; 0*D is the identity."""
-    curve = _require_same_curve(D, None, C)
     if n < 0:
         raise ValueError("scalar must be nonnegative")
-    acc = curve.identity()
+    acc = D.curve.identity()
     base = D
     while n:
         if n & 1:

@@ -2,10 +2,11 @@
 
 Coefficients are stored as raw context values (see ff) in ascending order,
 normalized so the zero polynomial is the empty tuple and any other leading
-coefficient is nonzero. All operations work uniformly over F_p and F_{p^k}
-contexts. Over a prime field, multiplication, division, gcds and modular
-powers run on the int-tuple F_p[x] kernel in ff; the context-generic loops
-below serve coefficients in F_{p^k} only.
+coefficient is nonzero. Arithmetic, gcds, modular powers and factorization
+work over F_p and F_{p^k} contexts alike; root finding needs F_p
+coefficients (see below). Over a prime field, multiplication, division,
+gcds and modular powers run on the int-tuple F_p[x] kernel in ff; the
+context-generic loops below serve coefficients in F_{p^k} only.
 
 Factorization follows the classic pipeline: squarefree decomposition, then
 distinct-degree splitting against x^(q^d) - x, then randomized equal-degree
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import ff
-from .errors import NotMonic, UndefinedGcd, UnsupportedDegree, ZeroDivisor
+from .errors import UndefinedGcd, ZeroDivisor
 
 _ROOTS_SEED = 0x0E1F  # internal seed for root isolation, see roots_in
 
@@ -162,8 +163,6 @@ class Polynomial:
                 if c.ctx != ctx:
                     raise ValueError("coefficient from a different context")
                 vals.append(c.value)
-            elif isinstance(c, int):
-                vals.append(ctx.element(c).value)
             else:
                 vals.append(ctx.element(c).value)
         self.ctx = ctx
@@ -209,10 +208,6 @@ class Polynomial:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def coefficient(self, i: int) -> ff.FieldElement:
-        raw = self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero
-        return ff.FieldElement(self.ctx, raw)
 
     def key(self):
         """Canonical sort key: degree, then coefficient vector."""
@@ -373,9 +368,6 @@ class IntegerPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def evaluate(self, n: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -426,13 +418,8 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Public wrappers
+# Gcds and squarefreeness
 # ---------------------------------------------------------------------------
-
-
-def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """a = q*b + r with deg r < deg b; raises ZeroDivisor on b = 0."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -454,20 +441,14 @@ def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Pol
 
 
 def is_squarefree(f: Polynomial) -> bool:
-    """True iff gcd(f, f') = 1. Requires deg f below the characteristic."""
+    """True iff gcd(f, f') = 1, i.e. f has no repeated irreducible factor.
+
+    Valid over any finite field: an irreducible factor never has zero
+    derivative, so gcd(f, f') = 1 characterizes squarefree f even when
+    deg f >= char (f' = 0 makes the gcd f itself, correctly failing).
+    """
     if f.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if f.degree >= f.ctx.char:
-        raise UnsupportedDegree(
-            f"degree {f.degree} not below characteristic {f.ctx.char}"
-        )
-    return _is_squarefree_unguarded(f)
-
-
-def _is_squarefree_unguarded(f: Polynomial) -> bool:
-    # Valid over any finite field: an irreducible factor never has zero
-    # derivative, so gcd(f, f') = 1 characterizes squarefree f even when
-    # deg f >= char (f' = 0 makes the gcd f itself, correctly failing).
     d = f.derivative()
     if d.is_zero:
         return f.degree == 0
@@ -516,10 +497,6 @@ class Factorization:
 
     def splitting_type(self) -> SplittingType:
         return SplittingType(tuple(sorted((p.degree, m) for p, m in self.factors)))
-
-
-def splitting_type(fact: Factorization) -> SplittingType:
-    return fact.splitting_type()
 
 
 def _pth_root(f: Polynomial) -> Polynomial:

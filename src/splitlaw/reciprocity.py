@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedDegree,
     ZeroDiscriminant,
 )
-from .jacobian import curve_new
+from .jacobian import HyperellipticCurve
 from .poly import IntegerPolynomial, Polynomial, SplittingType, factorize
 from .torsion import two_torsion_points
 
@@ -222,7 +222,7 @@ def _prime_record(coeffs: tuple[int, ...], p: int, genus: int, seed) -> PrimeRec
     ctx = ff.PrimeFieldContext(p)
     fbar = f.reduce_mod(ctx)
     split = splits_completely(f, p)
-    sub = two_torsion_points(curve_new(fbar), seed=f"{seed}:{p}")
+    sub = two_torsion_points(HyperellipticCurve(fbar), seed=f"{seed}:{p}")
     law = split == (sub.rank == 2 * genus)
     return PrimeRecord(
         p=p,

@@ -16,9 +16,7 @@ explicit chain of chart substitutions ending in a cusp normal form.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 
 from . import ff
@@ -30,7 +28,7 @@ from .errors import (
     NotSquarefree,
     UnsupportedDegree,
 )
-from .jacobian import HyperellipticCurve, MumfordDivisor, add, curve_new
+from .jacobian import HyperellipticCurve, MumfordDivisor, add
 from .poly import (
     Factorization,
     Polynomial,
@@ -103,15 +101,6 @@ def two_torsion_points(C: HyperellipticCurve, seed=_TORSION_SEED) -> TwoTorsionS
     )
 
 
-def two_torsion_rank(C: HyperellipticCurve, seed=_TORSION_SEED) -> int:
-    """F_2-dimension of the rational 2-torsion (n - 1 for n factors).
-
-    Delegates to the full construction, so the returned rank is backed by
-    per-element doubling verification rather than a factor count alone.
-    """
-    return two_torsion_points(C, seed).rank
-
-
 @dataclass(frozen=True)
 class TorsionBasis:
     """Roots of f in its splitting field and the basis they generate."""
@@ -161,7 +150,7 @@ def torsion_basis(
     sum of all 2g+1 embedded roots is the identity.
     """
     ctx, roots = _splitting_data(f, p, seed, cap)
-    curve = curve_new(f if ctx is f.ctx else embed_poly(f, ctx))
+    curve = HyperellipticCurve(f if ctx is f.ctx else embed_poly(f, ctx))
     g = curve.genus
     basis = tuple(embed_root(e, curve) for e in roots[: 2 * g])
     for D in basis:
@@ -311,17 +300,6 @@ def frobenius_permutation(
             raise RuntimeError("Frobenius image is not a listed root")
         perm.append(index[img])
     return perm
-
-
-def frobenius_matrix(
-    f: Polynomial, p: int, seed, *, cap: int = ff.DEFAULT_EXT_CAP
-) -> BinaryMatrix:
-    """The Frobenius action on the 2-torsion basis as a matrix in GL_2g(F_2).
-
-    The matrix is the identity exactly when f splits into linear factors
-    over F_p (trivial permutation).
-    """
-    return permutation_matrix(frobenius_permutation(f, p, seed, cap=cap))
 
 
 def permutation_matrix(perm: list[int]) -> BinaryMatrix:

@@ -20,28 +20,27 @@ import sympy
 
 from splitlaw import (
     BinaryMatrix,
+    HyperellipticCurve,
     IntegerPolynomial,
     Polynomial,
     PrimeFieldContext,
     add,
     blowup_chain,
-    curve_new,
     discriminant,
     density_report,
     embed_root,
     enumerate_jacobian,
-    frobenius_matrix,
     frobenius_permutation,
     good_primes,
     inclusion_check,
     neg,
+    permutation_matrix,
     permutation_order,
     scalar_mul,
     spl_set,
     splits_completely,
     torsion_basis,
     two_torsion_points,
-    two_torsion_rank,
     verify_law,
 )
 
@@ -93,10 +92,10 @@ def test_criterion_2_quintic_law_with_independent_oracle():
             assert all(m == 1 for _, m in factors), (f, p)
             n = len(factors)
             split = all(g.degree() == 1 for g, _ in factors)
-            C = curve_new(f.reduce_mod(p))
+            C = HyperellipticCurve(f.reduce_mod(p))
             sub = two_torsion_points(C)
             assert len(sub) == 2 ** (n - 1), (f, p)
-            rank = two_torsion_rank(C)
+            rank = sub.rank
             assert rank == n - 1, (f, p)
             assert split == (rank == 4) == splits_completely(f, p), (f, p)
             checked += 1
@@ -139,7 +138,7 @@ def test_criterion_4_group_law_suite():
     lagrange_elements = 0
     for p, coeffs in curves:
         assert p < 100
-        C = curve_new(Polynomial(PrimeFieldContext(p), coeffs))
+        C = HyperellipticCurve(Polynomial(PrimeFieldContext(p), coeffs))
         J = enumerate_jacobian(C)
         E = C.identity()
         for _ in range(220):
@@ -202,8 +201,8 @@ def test_criterion_6_frobenius_representation():
     seen = set()
     for p in primes:
         fbar = CUBE.reduce_mod(p)
-        M = frobenius_matrix(fbar, p, seed=1)
         perm = frobenius_permutation(fbar, p, seed=1)
+        M = permutation_matrix(perm)
         assert M.is_invertible
         assert M.order() == permutation_order(perm)
         assert M.is_identity == (p in split_primes) == splits_completely(CUBE, p)

@@ -6,6 +6,7 @@ two formats can never drift apart silently.
 """
 
 import csv
+import hashlib
 import importlib.resources
 import io
 import json
@@ -197,6 +198,50 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "verify", "x^3-2", "--bound", "300")
     _, second, _ = run_cli(capsys, "verify", "x^3-2", "--bound", "300")
     assert first == second
+
+
+# sha256 of each report file, pinned so that any change to report bytes
+# fails here; None when the command exits 1 before writing one. The Frobenius
+# sweeps run at two seeds because their root order depends on the seed.
+PINNED_REPORTS = [
+    ("verify x^3-2 --bound 3000", 271828, 0,
+     "8279fd4a48889449fda94dbe5d48c1d3b30cd0fd0805e303ec3286580c4e9b42"),
+    ("verify 3,1,-4,1,5,-9,1,1 --bound 400", 271828, 0,
+     "a79168d166d2204b483fdac80a9fa3061307b73f607dbb20db4d43d6cf2b53c3"),
+    ("frobenius x^5-x-1 --bound 100", 271828, 0,
+     "45c29130c9411351ec57651da0605d305f13d24d68786706ac417f4923453f07"),
+    ("frobenius x^5-x-1 --bound 100", 314159, 0,
+     "c378223ee3c54fc20deb44282aec49a9c6a4c5afcd784eebe49302a9f928eabf"),
+    ("frobenius 3,1,-4,1,5,-9,1,1 --bound 30", 271828, 0,
+     "a58e9bbd495dd263f37eb0a8c9c2dfb665326baf76cece5afa62e9c239c82c1c"),
+    ("frobenius 3,1,-4,1,5,-9,1,1 --bound 30", 314159, 0,
+     "c66a5216886922515d673fb6c75805dcef069423fe97420e8fbb641f5a6a39a6"),
+    ("torsion x^5-x-1 -p 43", 271828, 0,
+     "f9c824a8c51d3d6ecb2ebddd826aa1de7c9b7f153053cf2051f05199de7849a0"),
+    ("factor x^5-x-1 -p 31", 271828, 0,
+     "ed377201f8c651460c9ca6a7e6b02a99b483c8bfa5b09fa374df7afdcbe7e1f1"),
+    ("density x^3-2 --group-order 6 --bound 20000", 271828, 0,
+     "be4f0d6ba3379532a8bcf1cdf80345c10361a490f8ee4faefa49253a2a6ca57d"),
+    ("spl x^3-2 --bound 2000", 271828, 0,
+     "c12ef59c58f62c831c30cf524bf042d9ed6ac51ab9b2b087bf763765ff6f68e7"),
+    ("include x^6+108 x^3-2 --bound 3000", 271828, 0,
+     "d0dd4f050145b8c67487455b0333143d7b111e9dd7510bdb886e4364743ecc1f"),
+    ("blowup --genus 3 --coeffs 1,2,3,4,5,6,7 -p 11", 271828, 0,
+     "b7cdb3f84a3002915f5805d9e70b3135d7fef206197b3951c24ce46192a2f959"),
+    ("frobenius x^5-x-1 --bound 100 --ext-cap 2", 271828, 1, None),
+    ("frobenius x^2+1 --bound 50", 271828, 1, None),
+]
+
+
+@pytest.mark.parametrize("command, seed, status, digest", PINNED_REPORTS)
+def test_reports_match_pinned_digests(tmp_path, command, seed, status, digest):
+    target = tmp_path / "report.json"
+    argv = command.split() + ["--seed", str(seed), "-o", str(target)]
+    assert main(argv) == status
+    if digest is None:
+        assert not target.exists()
+    else:
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,8 @@ from splitlaw import (
     NonInvertible,
     Polynomial,
     PrimeFieldContext,
-    ext_frobenius,
     ext_new,
     factorize,
-    fp_inv,
-    fp_pow,
     is_prime,
 )
 from splitlaw.ff import _pirreducible
@@ -85,35 +82,33 @@ def test_context_rejects_non_primes_and_two():
 
 def test_inverse_of_four_mod_31(f31):
     a = f31.element(4)
-    assert fp_inv(a) == f31.element(8)
-    assert (a * fp_inv(a)) == f31.element(1)
+    assert a.inverse() == f31.element(8)
+    assert (a * a.inverse()) == f31.element(1)
 
 
 def test_two_to_the_tenth_mod_31(f31):
-    assert fp_pow(f31.element(2), 10) == f31.element(1)
+    assert f31.element(2) ** 10 == f31.element(1)
 
 
 def test_zero_exponent_gives_one_even_at_zero(f31):
-    assert fp_pow(f31.element(0), 0) == f31.element(1)
-    assert fp_pow(f31.element(17), 0) == f31.element(1)
+    assert f31.element(0) ** 0 == f31.element(1)
+    assert f31.element(17) ** 0 == f31.element(1)
 
 
 def test_zero_has_no_inverse(f31):
     with pytest.raises(NonInvertible):
-        fp_inv(f31.element(0))
+        f31.element(0).inverse()
 
 
 def test_negative_exponent_means_inverse_power(f31):
     a = f31.element(5)
-    assert fp_pow(a, -3) == fp_inv(a) ** 3
+    assert a**-3 == a.inverse() ** 3
 
 
 def test_elements_of_different_contexts_do_not_mix(f31):
     other = PrimeFieldContext(5)
     with pytest.raises(ValueError):
         f31.element(1) + other.element(1)
-    with pytest.raises(ValueError):
-        fp_inv(f31.element(3), other)
 
 
 def test_int_coercion_in_operators(f31):
@@ -139,7 +134,7 @@ def test_prime_field_axioms(p, a, b, c):
     assert x * (y + z) == x * y + x * z
     assert x + (-x) == ctx.element(0)
     if not x.is_zero:
-        assert x * fp_inv(x) == ctx.element(1)
+        assert x * x.inverse() == ctx.element(1)
         assert x / x == ctx.element(1)
 
 
@@ -147,7 +142,7 @@ def test_prime_field_axioms(p, a, b, c):
 def test_fermat_little_theorem(p, a):
     x = PrimeFieldContext(p).element(a)
     if not x.is_zero:
-        assert fp_pow(x, p - 1) == 1
+        assert x ** (p - 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +165,8 @@ def test_non_monic_modulus_is_rejected():
 def test_f25_frobenius_of_generator(f25):
     # t^2 = -2 = 3, so t^5 = (t^2)^2 t = 9t = 4t
     t = f25.element((0, 1))
-    assert ext_frobenius(t) == f25.element((0, 4))
-    assert fp_pow(t, 5) == f25.element((0, 4))
+    assert f25.frobenius(t.value) == f25.element((0, 4)).value
+    assert t**5 == f25.element((0, 4))
 
 
 def test_f25_structure(f25):
@@ -268,7 +263,7 @@ def test_extension_field_axioms(pk, seed, data):
     if not x.is_zero:
         assert x * x.inverse() == ctx.element(1)
         # multiplicative group has order p^k - 1
-        assert fp_pow(x, ctx.order - 1) == ctx.element(1)
+        assert x ** (ctx.order - 1) == ctx.element(1)
 
 
 def test_zero_has_no_inverse_in_extension(f25):
@@ -292,9 +287,10 @@ def test_frobenius_is_a_ring_homomorphism(pk, data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     x = FieldElement(ctx, ctx.rand_raw(rng))
     y = FieldElement(ctx, ctx.rand_raw(rng))
-    assert ext_frobenius(x + y) == ext_frobenius(x) + ext_frobenius(y)
-    assert ext_frobenius(x * y) == ext_frobenius(x) * ext_frobenius(y)
-    assert ext_frobenius(x) == fp_pow(x, p)
+    fx, fy = ctx.frobenius(x.value), ctx.frobenius(y.value)
+    assert ctx.frobenius((x + y).value) == ctx.add(fx, fy)
+    assert ctx.frobenius((x * y).value) == ctx.mul(fx, fy)
+    assert fx == (x**p).value
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 2), (7, 2), (11, 2), (5, 3), (3, 7)])

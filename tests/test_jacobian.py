@@ -14,6 +14,7 @@ from splitlaw import (
     CapExceeded,
     CurveMismatch,
     EvenDegree,
+    HyperellipticCurve,
     MumfordDivisor,
     NotMonic,
     NotOnJacobian,
@@ -23,8 +24,6 @@ from splitlaw import (
     PrimeFieldContext,
     UnsupportedDegree,
     add,
-    curve_new,
-    divisor_new,
     embed_poly,
     enumerate_jacobian,
     ext_new,
@@ -34,14 +33,12 @@ from splitlaw import (
 
 
 def curve(p, coeffs):
-    return curve_new(Polynomial(PrimeFieldContext(p), coeffs))
+    return HyperellipticCurve(Polynomial(PrimeFieldContext(p), coeffs))
 
 
 def point_divisor(C, x0, y0):
     ctx = C.ctx
-    return divisor_new(
-        Polynomial(ctx, [-x0, 1]), Polynomial(ctx, [y0]), C
-    )
+    return MumfordDivisor(C, Polynomial(ctx, [-x0, 1]), Polynomial(ctx, [y0]))
 
 
 def affine_points(C):
@@ -63,13 +60,13 @@ def affine_points(C):
 def test_curve_validation():
     ctx = PrimeFieldContext(7)
     with pytest.raises(EvenDegree):
-        curve_new(Polynomial(ctx, [1, 0, 0, 0, 1]))
+        HyperellipticCurve(Polynomial(ctx, [1, 0, 0, 0, 1]))
     with pytest.raises(NotMonic):
-        curve_new(Polynomial(ctx, [1, 0, 0, 3]))
+        HyperellipticCurve(Polynomial(ctx, [1, 0, 0, 3]))
     with pytest.raises(NotSquarefree):
-        curve_new(Polynomial(ctx, [0, 0, 0, 1]))  # x^3 = x * x^2
+        HyperellipticCurve(Polynomial(ctx, [0, 0, 0, 1]))  # x^3 = x * x^2
     with pytest.raises(UnsupportedDegree):
-        curve_new(Polynomial(ctx, [3, 1]))
+        HyperellipticCurve(Polynomial(ctx, [3, 1]))
     # wild but squarefree degrees are fine: deg 7 = char 7
     assert curve(7, [1, 1, 0, 0, 0, 0, 0, 1]).genus == 3
 
@@ -96,28 +93,28 @@ def test_divisor_validation():
     with pytest.raises(NotOnJacobian):
         point_divisor(C, 5, 1)  # 1 != f(5)
     with pytest.raises(NotMonic):
-        divisor_new(Polynomial(ctx, [1, 2]), Polynomial.zero(ctx), C)
+        MumfordDivisor(C, Polynomial(ctx, [1, 2]), Polynomial.zero(ctx))
     with pytest.raises(NotReduced):
         # deg u = 2 > g = 1
-        divisor_new(Polynomial(ctx, [1, 0, 1]), Polynomial.zero(ctx), C)
+        MumfordDivisor(C, Polynomial(ctx, [1, 0, 1]), Polynomial.zero(ctx))
     with pytest.raises(NotReduced):
         # deg v >= deg u
-        divisor_new(Polynomial(ctx, [27, 1]), Polynomial(ctx, [0, 1]), C)
+        MumfordDivisor(C, Polynomial(ctx, [27, 1]), Polynomial(ctx, [0, 1]))
     other = curve(31, [-3, 0, 0, 1])
     with pytest.raises(CurveMismatch):
         add(D, point_divisor(other, 0, 11))
     with pytest.raises(CurveMismatch):
-        divisor_new(Polynomial(PrimeFieldContext(5), [1, 1]), Polynomial.zero(PrimeFieldContext(5)), C)
+        MumfordDivisor(C, Polynomial(PrimeFieldContext(5), [1, 1]), Polynomial.zero(PrimeFieldContext(5)))
 
 
 def test_divisors_work_over_extension_fields():
     ext = ext_new(5, 2, seed=4)
     f = embed_poly(Polynomial(PrimeFieldContext(5), [-2, 0, 0, 1]), ext)
-    C = curve_new(f)
+    C = HyperellipticCurve(f)
     roots = [a for a in ext.iter_raw() if f(ext.element(a)).is_zero]
     assert len(roots) == 3
-    D = divisor_new(
-        Polynomial(ext, [ext.neg(roots[0]), 1]), Polynomial.zero(ext), C
+    D = MumfordDivisor(
+        C, Polynomial(ext, [ext.neg(roots[0]), 1]), Polynomial.zero(ext)
     )
     assert (D + D).is_identity
 

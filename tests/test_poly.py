@@ -20,7 +20,6 @@ from splitlaw import (
     Polynomial,
     PrimeFieldContext,
     UndefinedGcd,
-    UnsupportedDegree,
     ZeroDivisor,
     embed_poly,
     ext_new,
@@ -29,7 +28,6 @@ from splitlaw import (
     poly_gcd,
     poly_xgcd,
     roots_in,
-    splitting_type,
 )
 from splitlaw.poly import _random_split
 
@@ -176,10 +174,10 @@ def test_evaluate_matches_horner_definition():
 # ---------------------------------------------------------------------------
 
 
-def test_is_squarefree_guard_requires_small_degree():
+def test_is_squarefree_at_degree_at_least_char():
     ctx = PrimeFieldContext(5)
-    with pytest.raises(UnsupportedDegree):
-        is_squarefree(Polynomial(ctx, [1, 0, 0, 0, 0, 1]))  # deg 5 = char
+    assert not is_squarefree(Polynomial(ctx, [1, 0, 0, 0, 0, 1]))  # (x+1)^5
+    assert is_squarefree(Polynomial(ctx, [0, -1, 0, 0, 0, 1]))  # x^5 - x
 
 
 def test_is_squarefree_detects_repeated_factors():
@@ -190,6 +188,20 @@ def test_is_squarefree_detects_repeated_factors():
     assert not is_squarefree(g)
 
 
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    tail=st.lists(st.integers(0, 6), min_size=1, max_size=9),
+    lead=st.integers(1, 2),
+)
+@example(p=5, tail=[1, 0, 0, 0, 0], lead=1)  # (x+1)^5
+@example(p=3, tail=[2, 0, 0], lead=1)  # (x+2)^3, zero derivative
+@settings(max_examples=80, deadline=None)
+def test_is_squarefree_agrees_with_factorize(p, tail, lead):
+    f = Polynomial(PrimeFieldContext(p), tail + [lead])
+    expected = all(m == 1 for _, m in factorize(f, seed=0).factors)
+    assert is_squarefree(f) == expected
+
+
 # ---------------------------------------------------------------------------
 # Factorization
 # ---------------------------------------------------------------------------
@@ -198,7 +210,7 @@ def test_is_squarefree_detects_repeated_factors():
 def test_cube_root_of_two_splits_mod_31():
     ctx = PrimeFieldContext(31)
     fact = factorize(Polynomial(ctx, [-2, 0, 0, 1]), seed=1)
-    st_ = splitting_type(fact)
+    st_ = fact.splitting_type()
     assert st_.pairs == ((1, 1), (1, 1), (1, 1))
     assert st_.all_linear and st_.squarefree
     assert [f.coeffs for f, _ in fact.factors] == [(11, 1), (24, 1), (27, 1)]
@@ -206,18 +218,18 @@ def test_cube_root_of_two_splits_mod_31():
 
 def test_cube_root_of_two_mod_5_and_7():
     c5 = PrimeFieldContext(5)
-    assert splitting_type(factorize(Polynomial(c5, [-2, 0, 0, 1]), 1)).pairs == (
+    assert factorize(Polynomial(c5, [-2, 0, 0, 1]), 1).splitting_type().pairs == (
         (1, 1),
         (2, 1),
     )
     c7 = PrimeFieldContext(7)
-    assert splitting_type(factorize(Polynomial(c7, [-2, 0, 0, 1]), 1)).pairs == ((3, 1),)
+    assert factorize(Polynomial(c7, [-2, 0, 0, 1]), 1).splitting_type().pairs == ((3, 1),)
 
 
 def test_wild_repeated_factor_mod_5():
     ctx = PrimeFieldContext(5)
     fact = factorize(Polynomial(ctx, [1, 0, 0, 0, 0, 1]), seed=1)  # (x+1)^5
-    assert splitting_type(fact).pairs == ((1, 5),)
+    assert fact.splitting_type().pairs == ((1, 5),)
     assert fact.factors[0][0].coeffs == (1, 1)
 
 
@@ -262,7 +274,7 @@ def test_factorize_against_sympy_and_divisor_scan(p, deg, seed):
     fact = factorize(f, seed=seed)
     # reassembly is already enforced inside factorize; check the type against
     # an independent implementation
-    assert splitting_type(fact).pairs == sympy_type(coeffs, p)
+    assert fact.splitting_type().pairs == sympy_type(coeffs, p)
     for g, _ in fact.factors:
         assert g.is_monic
         if p**g.degree <= 10**5:
@@ -279,7 +291,7 @@ def test_odd_degree_splitting_type_sums_to_degree(p, deg, seed):
     ctx = PrimeFieldContext(p)
     rng = random.Random(seed)
     f = Polynomial(ctx, [rng.randrange(p) for _ in range(deg)] + [1])
-    st_ = splitting_type(factorize(f, seed))
+    st_ = factorize(f, seed).splitting_type()
     assert st_.total_degree == deg
     assert st_.factor_count <= deg
 
@@ -297,7 +309,7 @@ def test_factorize_is_seed_deterministic():
 
 def test_splitting_type_str():
     ctx = PrimeFieldContext(5)
-    st_ = splitting_type(factorize(Polynomial(ctx, [1, 0, 0, 0, 0, 1]), 1))
+    st_ = factorize(Polynomial(ctx, [1, 0, 0, 0, 0, 1]), 1).splitting_type()
     assert str(st_) == "1^5"
 
 

@@ -32,10 +32,10 @@ from splitlaw import (
     spl_set,
     splits_completely,
     splitting_type_mod_p,
-    two_torsion_rank,
+    two_torsion_points,
     verify_law,
 )
-from splitlaw import Polynomial, PrimeFieldContext, curve_new, reciprocity
+from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, reciprocity
 
 X = sympy.Symbol("x")
 CUBE = IntegerPolynomial([-2, 0, 0, 1])  # x^3 - 2
@@ -230,8 +230,8 @@ def test_verify_law_record_cross_check():
         assert r.splitting == splitting_type_mod_p(CUBE, r.p)
         assert r.law_consistent == (r.splits_completely == (r.torsion_rank == 2))
         # recompute the rank through the public curve route
-        C = curve_new(CUBE.reduce_mod(r.p))
-        assert two_torsion_rank(C) == r.torsion_rank
+        C = HyperellipticCurve(CUBE.reduce_mod(r.p))
+        assert two_torsion_points(C).rank == r.torsion_rank
 
 
 def test_verify_law_is_worker_invariant():

@@ -16,26 +16,25 @@ from splitlaw import (
     BadCharacteristic,
     BinaryMatrix,
     ExtensionTooLarge,
+    HyperellipticCurve,
     NonTerminating,
     NotSquarefree,
     Polynomial,
     PrimeFieldContext,
     add,
     blowup_chain,
-    curve_new,
     enumerate_jacobian,
-    frobenius_matrix,
     frobenius_permutation,
+    permutation_matrix,
     permutation_order,
     torsion_basis,
     two_torsion_points,
-    two_torsion_rank,
 )
 from splitlaw.torsion import _check_cusp_form, _residual_exponent
 
 
 def curve(p, coeffs):
-    return curve_new(Polynomial(PrimeFieldContext(p), coeffs))
+    return HyperellipticCurve(Polynomial(PrimeFieldContext(p), coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ def test_cubic_two_torsion_counts(p, count, rank, n):
     assert len(sub) == count == len(sub.elements)
     assert sub.rank == rank
     assert sub.n == n == sub.factorization.splitting_type().factor_count
-    assert two_torsion_rank(C) == rank
+    assert two_torsion_points(C).rank == rank
     assert len(sub.elements) == 2 ** (n - 1)
 
 
@@ -98,7 +97,7 @@ def test_two_torsion_requires_squarefree_curve():
     ctx = PrimeFieldContext(7)
     f = Polynomial(ctx, [1, 1]) ** 2 * Polynomial(ctx, [5, 1])
     with pytest.raises(NotSquarefree):
-        curve_new(f)
+        HyperellipticCurve(f)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def matrix_from_permutation(perm):
 )
 def test_frozen_cubic_frobenius_matrices(p, matrix, order):
     f = Polynomial(PrimeFieldContext(p), [-2, 0, 0, 1])
-    M = frobenius_matrix(f, p, seed=1)
+    M = permutation_matrix(frobenius_permutation(f, p, seed=1))
     assert M.to_lists() == matrix
     assert M.order() == order
 
@@ -233,7 +232,7 @@ def test_cubic_frobenius_consistency(p):
     f = Polynomial(PrimeFieldContext(p), [-2, 0, 0, 1])
     perm = frobenius_permutation(f, p, seed=3)
     assert sorted(perm) == [0, 1, 2]
-    M = frobenius_matrix(f, p, seed=3)
+    M = permutation_matrix(perm)
     assert M.is_invertible
     assert M.order() == permutation_order(perm)
     # the matrix of frob^k must match the k-fold permutation
@@ -250,7 +249,7 @@ def test_quintic_frobenius_consistency(p):
     f = Polynomial(PrimeFieldContext(p), [-1, -1, 0, 0, 0, 1])  # x^5 - x - 1
     perm = frobenius_permutation(f, p, seed=3)
     assert sorted(perm) == [0, 1, 2, 3, 4]
-    M = frobenius_matrix(f, p, seed=3)
+    M = permutation_matrix(perm)
     assert M.n == 4 and M.is_invertible
     assert M.order() == permutation_order(perm)
     perm_k = list(range(5))
@@ -297,7 +296,7 @@ def test_identity_matrix_iff_split():
     f = IntegerPolynomial([-2, 0, 0, 1])
     for p in good_primes(f, 100):
         fbar = f.reduce_mod(p)
-        M = frobenius_matrix(fbar, p, seed=2)
+        M = permutation_matrix(frobenius_permutation(fbar, p, seed=2))
         assert M.is_identity == splits_completely(f, p)
 
 
