@@ -7,12 +7,12 @@ over F_p is (Z/2Z)^2g. This package computes both sides of that
 equivalence by independent routes and sweeps them against each other:
 
 - ff: exact arithmetic in F_p and F_{p^k}, Frobenius included
-- poly: univariate polynomials over those fields, full factorization
+- poly: univariate polynomials over those fields, full factorization over F_p
 - jacobian: Mumford divisors and the Cantor group law
 - torsion: 2-torsion subgroups, torsion bases over splitting fields,
   Frobenius matrices in GL_2g(F_2), and the blow-up chain at infinity
-- reciprocity: good primes, splitting types, the law sweep, splitting
-  sets, inclusion tests, and density statistics
+- reciprocity: good primes, the law sweep, splitting sets, inclusion
+  tests, and density statistics
 - cli: the `splitlaw` command with JSON/CSV/text reports
 """
 
@@ -97,6 +97,5 @@ from .reciprocity import (
     sieve_primes,
     spl_set,
     splits_completely,
-    splitting_type_mod_p,
     verify_law,
 )

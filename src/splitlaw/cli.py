@@ -50,7 +50,6 @@ class RunConfig:
     output: str | None = None
     workers: int = 1
     ext_cap: int = ff.DEFAULT_EXT_CAP
-    enum_cap: int = jacobian.DEFAULT_ENUM_CAP
     group_order: int | None = None
     genus: int | None = None
     coeffs: tuple[int, ...] | None = None
@@ -186,8 +185,7 @@ def _splitting_json(st) -> list[list[int]]:
 def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
     p = config.prime
-    ctx = ff.PrimeFieldContext(p)
-    fbar = f.reduce_mod(ctx)
+    fbar = f.reduce_mod(p)
     if fbar.is_zero:
         raise SplitlawError(f"polynomial vanishes identically mod {p}")
     fact = factorize(fbar, f"{config.seed}:{p}")
@@ -216,8 +214,7 @@ def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
 def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
     p = config.prime
-    ctx = ff.PrimeFieldContext(p)
-    fbar = f.reduce_mod(ctx)
+    fbar = f.reduce_mod(p)
     curve = jacobian.HyperellipticCurve(fbar)
     sub = torsion.two_torsion_points(curve, seed=f"{config.seed}:{p}")
     elements = [
@@ -422,6 +419,7 @@ def _envelope(config: RunConfig, payload: dict, exit_status: int) -> dict:
     # dropping them keeps equal-config reports byte-identical across widths
     del echo["workers"]
     del echo["output"]
+    echo["enum_cap"] = jacobian.DEFAULT_ENUM_CAP
     return {
         "tool": "splitlaw",
         "version": __version__,
@@ -566,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--stamp", action="store_true",
             help="include a wall-clock timestamp (breaks byte-reproducibility)",
         )
-        sp.add_argument(
-            "--ext-cap", type=int, default=ff.DEFAULT_EXT_CAP,
-            help="largest allowed splitting-field degree",
-        )
 
     sp = sub.add_parser("factor", help="splitting type of f mod p")
     sp.add_argument("polynomial")
@@ -607,6 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("frobenius", help="Frobenius matrices over good primes")
     sp.add_argument("polynomial")
     sp.add_argument("--bound", type=int, required=True)
+    sp.add_argument(
+        "--ext-cap", type=int, default=ff.DEFAULT_EXT_CAP,
+        help="largest allowed splitting-field degree",
+    )
     common(sp)
 
     sp = sub.add_parser("blowup", help="blow-up chain at the point at infinity")
@@ -641,7 +639,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         output=args.output,
         workers=getattr(args, "workers", 1),
-        ext_cap=args.ext_cap,
+        ext_cap=getattr(args, "ext_cap", ff.DEFAULT_EXT_CAP),
         group_order=getattr(args, "group_order", None),
         genus=getattr(args, "genus", None),
         coeffs=coeffs,

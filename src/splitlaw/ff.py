@@ -53,19 +53,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 # ---------------------------------------------------------------------------
 # The F_p[x] kernel: polynomials over a prime field as int tuples (ascending,
 # normalized: no trailing zero), p passed explicitly. It backs F_{p^k}
@@ -242,18 +229,12 @@ class PrimeFieldContext:
         return a % self.p
 
     # -- conversions --------------------------------------------------------
-    def reduce_int(self, n: int) -> int:
-        return n % self.p
-
     def element(self, v) -> "FieldElement":
         if isinstance(v, FieldElement):
             if v.ctx != self:
                 raise ValueError("element belongs to a different context")
             return v
         return FieldElement(self, int(v) % self.p)
-
-    def key(self, a: int) -> int:
-        return a
 
     def iter_raw(self) -> Iterator[int]:
         return iter(range(self.p))
@@ -366,9 +347,6 @@ class ExtFieldContext:
         if len(vec) > self.k:
             raise ValueError(f"coefficient vector longer than degree {self.k}")
         return FieldElement(self, self._pad(vec))
-
-    def key(self, a: tuple) -> tuple:
-        return a
 
     def iter_raw(self) -> Iterator[tuple]:
         return itertools.product(range(self.base.p), repeat=self.k)
@@ -501,7 +479,7 @@ class FieldElement:
 
     def key(self):
         """Canonical sort key: residue for F_p, coefficient tuple for F_{p^k}."""
-        return self.ctx.key(self.value)
+        return self.value
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.ctx, self.ctx.inv(self.value))

@@ -2,8 +2,8 @@
 
 Coefficients are stored as raw context values (see ff) in ascending order,
 normalized so the zero polynomial is the empty tuple and any other leading
-coefficient is nonzero. Arithmetic, gcds, modular powers and factorization
-work over F_p and F_{p^k} contexts alike; root finding needs F_p
+coefficient is nonzero. Arithmetic, gcds and modular powers work over F_p
+and F_{p^k} contexts alike; factorization, like root finding, needs F_p
 coefficients (see below). Over a prime field, multiplication, division,
 gcds and modular powers run on the int-tuple F_p[x] kernel in ff; the
 context-generic loops below serve coefficients in F_{p^k} only.
@@ -204,15 +204,9 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
 
-    def lc(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def key(self):
         """Canonical sort key: degree, then coefficient vector."""
-        k = self.ctx.key
-        return (self.degree, tuple(k(c) for c in self.coeffs))
+        return (self.degree, self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "Polynomial") -> "Polynomial":
@@ -247,9 +241,6 @@ class Polynomial:
             raise ZeroDivisor("division by the zero polynomial")
         q, r = _divmod_raw(self.ctx, self.coeffs, other.coeffs)
         return Polynomial._raw(self.ctx, q), Polynomial._raw(self.ctx, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -336,12 +327,8 @@ class Polynomial:
 
 def embed_poly(f: Polynomial, ext: ff.ExtFieldContext) -> Polynomial:
     """Lift a prime-field polynomial into an extension of the same base."""
-    if isinstance(f.ctx, ff.ExtFieldContext):
-        if f.ctx == ext:
-            return f
-        raise ValueError("cannot embed between distinct extension contexts")
-    if f.ctx.p != ext.base.p:
-        raise ValueError("extension has a different characteristic")
+    if f.ctx != ext.base:
+        raise ValueError("f must have coefficients in the prime field of ext")
     return Polynomial._raw(ext, tuple(ext.embed(c) for c in f.coeffs))
 
 
@@ -500,12 +487,8 @@ class Factorization:
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
-    """p-th root of a polynomial in x^p over a finite-field context."""
-    ctx = f.ctx
-    p = ctx.char
-    e = ctx.order // p  # c^(q/p) is the p-th root of c
-    out = [ctx.pow_(f.coeffs[i], e) for i in range(0, len(f.coeffs), p)]
-    return Polynomial._raw(ctx, _norm(out, ctx.zero))
+    """p-th root of a polynomial in x^p over F_p, where c^p = c."""
+    return Polynomial._raw(f.ctx, f.coeffs[:: f.ctx.p])
 
 
 def _squarefree_parts(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -586,14 +569,16 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 
 
 def factorize(f: Polynomial, seed) -> Factorization:
-    """Complete factorization into monic irreducibles, canonical order.
+    """Complete factorization over F_p into monic irreducibles, canonical order.
 
     Deterministic for a fixed seed; the result is verified by multiplying
     the factors back together.
     """
+    if not isinstance(f.ctx, ff.PrimeFieldContext):
+        raise ValueError("factorize needs coefficients in a prime field")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.lc()
+    unit = f.coeffs[-1]
     fm = f.monic()
     rng = random.Random(seed)
     factors: list[tuple[Polynomial, int]] = []

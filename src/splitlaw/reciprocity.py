@@ -18,6 +18,7 @@ finitely many exceptions tolerates.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .errors import (
     ZeroDiscriminant,
 )
 from .jacobian import HyperellipticCurve
-from .poly import IntegerPolynomial, Polynomial, SplittingType, factorize
+from .poly import IntegerPolynomial, Polynomial, SplittingType
 from .torsion import two_torsion_points
 
 DEFAULT_SEED = 271828  # published default; all randomness derives from it
@@ -123,17 +124,6 @@ def good_primes(f: IntegerPolynomial, bound: int) -> list[int]:
     return [p for p in sieve_primes(bound) if p != 2 and disc % p != 0]
 
 
-def splitting_type_mod_p(
-    f: IntegerPolynomial, p: int, seed=DEFAULT_SEED
-) -> SplittingType:
-    """The multiset of (degree, multiplicity) of the factors of f mod p."""
-    ctx = ff.PrimeFieldContext(p)
-    fbar = f.reduce_mod(ctx)
-    if fbar.is_zero:
-        raise ValueError(f"polynomial vanishes identically mod {p}")
-    return factorize(fbar, f"{seed}:{p}").splitting_type()
-
-
 def splits_completely(f: IntegerPolynomial, p: int) -> bool:
     """True iff f mod p is squarefree with all factors linear.
 
@@ -216,11 +206,9 @@ def _validate_law_input(f: IntegerPolynomial) -> int:
     return (f.degree - 1) // 2
 
 
-def _prime_record(coeffs: tuple[int, ...], p: int, genus: int, seed) -> PrimeRecord:
+def _prime_record(f: IntegerPolynomial, genus: int, seed, p: int) -> PrimeRecord:
     """Both sides of the law at p; the two sides share no code path."""
-    f = IntegerPolynomial(coeffs)
-    ctx = ff.PrimeFieldContext(p)
-    fbar = f.reduce_mod(ctx)
+    fbar = f.reduce_mod(p)
     split = splits_completely(f, p)
     sub = two_torsion_points(HyperellipticCurve(fbar), seed=f"{seed}:{p}")
     law = split == (sub.rank == 2 * genus)
@@ -231,10 +219,6 @@ def _prime_record(coeffs: tuple[int, ...], p: int, genus: int, seed) -> PrimeRec
         splits_completely=split,
         law_consistent=law,
     )
-
-
-def _record_task(args) -> PrimeRecord:
-    return _prime_record(*args)
 
 
 def verify_law(
@@ -258,14 +242,14 @@ def verify_law(
     primes = sieve_primes(bound)
     bad = tuple(p for p in primes if p == 2 or disc % p == 0)
     good = [p for p in primes if p != 2 and disc % p != 0]
-    tasks = [(f.coeffs, p, genus, seed) for p in good]
+    record = functools.partial(_prime_record, f, genus, seed)
     workers = min(workers, len(good), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            records = tuple(pool.map(_record_task, tasks, chunksize=chunk))
+            chunk = max(1, len(good) // (4 * workers))
+            records = tuple(pool.map(record, good, chunksize=chunk))
     else:
-        records = tuple(map(_record_task, tasks))
+        records = tuple(map(record, good))
     spl = tuple(r.p for r in records if r.splits_completely)
     verdict = all(r.law_consistent for r in records)
     density = Fraction(len(spl), len(good)) if good else None

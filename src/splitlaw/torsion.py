@@ -262,12 +262,12 @@ class BinaryMatrix:
             rank += 1
         return True
 
-    def order(self, limit: int = 10**6) -> int:
-        """Multiplicative order; requires invertibility."""
+    def order(self) -> int:
+        """Multiplicative order, searched up to 10**6; requires invertibility."""
         if not self.is_invertible:
             raise ValueError("singular matrix has no multiplicative order")
         acc = self
-        for k in range(1, limit + 1):
+        for k in range(1, 10**6 + 1):
             if acc.is_identity:
                 return k
             acc = acc * self
@@ -409,8 +409,8 @@ def blowup_chain(g: int, coeffs, p: int) -> list["BlowupChart"]:
         raise BadCharacteristic("blow-up chain requires odd characteristic")
     if g < 1:
         raise ValueError("genus must be >= 1")
-    base = ff.PrimeFieldContext(p)
-    a = [1] + [base.reduce_int(int(c)) for c in coeffs]
+    ff.PrimeFieldContext(p)  # refuses p unless an odd prime below 2**31
+    a = [1] + [int(c) % p for c in coeffs]
     if len(a) != 2 * g + 2:
         raise ValueError(f"expected {2 * g + 1} coefficients a_1..a_{2 * g + 1}")
     if g == 1:

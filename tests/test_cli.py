@@ -18,9 +18,9 @@ import jsonschema
 from splitlaw import (
     PolynomialSyntaxError,
     __version__,
+    factorize,
     reciprocity,
     sieve_primes,
-    splitting_type_mod_p,
 )
 from splitlaw.cli import _cell, main, parse_polynomial
 
@@ -244,6 +244,48 @@ def test_reports_match_pinned_digests(tmp_path, command, seed, status, digest):
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the CSV and text renderings, pinned like the JSON reports above;
+# these formats carry no config echo, so they pin the payloads alone.
+PINNED_RENDERINGS = [
+    ("verify x^3-2 --bound 300", "csv",
+     "7dc4e8679590e26c1cd6eef1063c090a45c1fc07763a30f4d2aa71be6b465b00"),
+    ("frobenius x^5-x-1 --bound 60", "csv",
+     "df070be2357e46fd7c34d5c237e7471732c194c3ec60d63a655b5dacbf460a62"),
+    ("factor x^5-x-1 -p 31", "csv",
+     "4b59b7570ae738fa73604b8ee5b8202610b16cc19c46cbd6a7a4437882847730"),
+    ("torsion x^5-x-1 -p 43", "csv",
+     "5cf0d23ecb136b17546433e76b6c2293b425bd18673657b67eadeb53c9951287"),
+    ("density x^3-2 --group-order 6 --bound 2000", "csv",
+     "f801057436be4d66d51bd767babbc127981bca9b3b8cca141827acbfd2322c0b"),
+    ("include x^6+108 x^3-2 --bound 300", "csv",
+     "fd6641673e7f3bf6e80e4bc5401fcb2821a1e117206c8e1c65cef23a58dc37ff"),
+    ("blowup --genus 3 --coeffs 1,2,3,4,5,6,7 -p 11", "csv",
+     "fe4c591899b533bb9fe8470f57a3d53b0307781bbbf336c4f145f002d2d968d0"),
+    ("verify x^3-2 --bound 300", "text",
+     "b98748e03bf382783cbde53b1840b1e8ddeff0e226a7058ddff8a2d34c786e31"),
+    ("frobenius x^5-x-1 --bound 60", "text",
+     "982d8c4ebb10587f169506ed69ebb0178a1b7e24f6781f738667768099fb3bb2"),
+    ("factor x^5-x-1 -p 31", "text",
+     "8181380229bad0938615c91349475b6e3f6b3ee12497d3a10d768f379804cfc0"),
+    ("torsion x^5-x-1 -p 43", "text",
+     "93cc124a06acf341a3342dcb65e758a3361f534dba2746c6765c4b8dd79b3c0e"),
+    ("density x^3-2 --group-order 6 --bound 2000", "text",
+     "8c29063b638c214ac0a249f25a8ac4964c330020294eb7a571a584c9d0bf9453"),
+    ("include x^6+108 x^3-2 --bound 300", "text",
+     "4c49fcc9e34912dc3ddf7b8fd40fce51075c3715fa3a1829bb421beb5aa482d7"),
+    ("blowup --genus 3 --coeffs 1,2,3,4,5,6,7 -p 11", "text",
+     "539a38d1bcb473a88c226c524200fd7cc994fee754a8f8aac175eb44f62e0177"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, digest", PINNED_RENDERINGS)
+def test_renderings_match_pinned_digests(tmp_path, command, fmt, digest):
+    target = tmp_path / f"report.{fmt}"
+    argv = command.split() + ["--format", fmt, "--seed", "271828", "-o", str(target)]
+    assert main(argv) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # CSV and text formats
 # ---------------------------------------------------------------------------
@@ -328,6 +370,9 @@ def test_argparse_misuse_exits_one():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "x^3-2", "--bound", "50", "--ext-cap", "5"])  # frobenius only
+    assert info.value.code == 1
 
 
 def test_frobenius_splitting_degree_matches_factorization(capsys, schema):
@@ -338,7 +383,7 @@ def test_frobenius_splitting_degree_matches_factorization(capsys, schema):
     records = doc["payload"]["records"]
     assert len(records) == 43
     for r in records:
-        st = splitting_type_mod_p(f, r["p"], seed=doc["config"]["seed"])
+        st = factorize(f.reduce_mod(r["p"]), seed=0).splitting_type()
         assert r["splitting_degree"] == math.lcm(*(d for d, _ in st.pairs)), r["p"]
         assert r["order"] == r["permutation_order"], r["p"]
 

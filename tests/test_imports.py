@@ -1,4 +1,4 @@
-"""Every module-level import in the package source is used.
+"""Every module-level import and private helper in the package source is used.
 
 No linter ships with the project, so this reads each module with the
 standard library's ast. `__init__.py` is skipped: it imports names only to
@@ -56,3 +56,32 @@ def test_no_unused_module_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name}: unused imports {', '.join(unused)}"
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Bare names and attribute names appearing anywhere under node."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_definitions_are_referenced(path):
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    statements = [
+        (stmt, _referenced_names(stmt)) for tree in trees.values() for stmt in tree.body
+    ]
+    unreferenced = sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        # a reference inside the definition itself, such as recursion, does not count
+        and not any(node.name in names for stmt, names in statements if stmt is not node)
+    )
+    assert not unreferenced, f"{path.name}: unreferenced {', '.join(unreferenced)}"

@@ -247,6 +247,13 @@ def test_constant_polynomial_has_no_factors():
     assert fact.unit == 4
 
 
+def test_factorize_needs_prime_field_coefficients():
+    ext = ext_new(5, 2, seed=9)
+    f = embed_poly(Polynomial(ext.base, [-2, 0, 0, 1]), ext)
+    with pytest.raises(ValueError, match="prime field"):
+        factorize(f, seed=1)
+
+
 def _exhaustive_irreducible(f):
     """Divisor scan; only called when p^deg(f) is small."""
     ctx = f.ctx
@@ -419,6 +426,9 @@ def test_embed_poly_rejects_mismatched_characteristic():
     f = Polynomial(PrimeFieldContext(7), [1, 1])
     with pytest.raises(ValueError):
         embed_poly(f, ext_new(5, 2, seed=1))
+    ext = ext_new(7, 2, seed=1)
+    with pytest.raises(ValueError):  # already over the extension
+        embed_poly(embed_poly(f, ext), ext)
 
 
 # ---------------------------------------------------------------------------

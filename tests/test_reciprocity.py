@@ -25,13 +25,13 @@ from splitlaw import (
     ZeroDiscriminant,
     density_report,
     discriminant,
+    factorize,
     good_primes,
     inclusion_check,
     resultant,
     sieve_primes,
     spl_set,
     splits_completely,
-    splitting_type_mod_p,
     two_torsion_points,
     verify_law,
 )
@@ -190,7 +190,7 @@ def test_splits_completely_handles_bad_primes_too():
 def test_splitting_type_and_fast_path_agree():
     f = IntegerPolynomial([-1, -1, 0, 0, 0, 1])
     for p in good_primes(f, 200):
-        st_ = splitting_type_mod_p(f, p)
+        st_ = factorize(f.reduce_mod(p), seed=0).splitting_type()
         assert st_.all_linear == splits_completely(f, p)
         assert st_.total_degree == 5
 
@@ -198,7 +198,7 @@ def test_splitting_type_and_fast_path_agree():
 def test_splitting_type_matches_sympy():
     f = IntegerPolynomial([3, 1, 4, 1, 5, 9, 2, 1])
     for p in (3, 5, 7, 11, 13, 101):
-        got = splitting_type_mod_p(f, p).pairs
+        got = factorize(f.reduce_mod(p), seed=0).splitting_type().pairs
         fp = sympy.Poly(list(reversed(f.coeffs)), X, modulus=p)
         want = tuple(sorted((g.degree(), m) for g, m in fp.factor_list()[1]))
         assert got == want, p
@@ -227,7 +227,7 @@ def test_verify_law_record_cross_check():
     report = verify_law(CUBE, 60)
     for r in report.records:
         assert r.splits_completely == r.splitting.all_linear
-        assert r.splitting == splitting_type_mod_p(CUBE, r.p)
+        assert r.splitting == factorize(CUBE.reduce_mod(r.p), seed=0).splitting_type()
         assert r.law_consistent == (r.splits_completely == (r.torsion_rank == 2))
         # recompute the rank through the public curve route
         C = HyperellipticCurve(CUBE.reduce_mod(r.p))
