@@ -522,7 +522,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; 2 is reserved for law violations
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _default_seed() -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 
-from . import ff
 from .errors import (
     BadCharacteristic,
     CapExceeded,
@@ -50,10 +49,6 @@ class HyperellipticCurve:
             raise NotSquarefree("curve polynomial has a repeated root")
         self.f = f
         self.genus = (f.degree - 1) // 2
-
-    @property
-    def ctx(self) -> ff.FieldContext:
-        return self.f.ctx
 
     def identity(self) -> "MumfordDivisor":
         return MumfordDivisor._make(self, Polynomial.one(self.f.ctx), Polynomial.zero(self.f.ctx))
@@ -104,15 +99,6 @@ class MumfordDivisor:
 
     def key(self):
         return (self.u.key(), self.v.key())
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __rmul__(self, n: int):
-        return scalar_mul(n, self)
 
     def __eq__(self, other) -> bool:
         return (

@@ -366,11 +366,9 @@ class IntegerPolynomial:
             i * self.coeffs[i] for i in range(1, len(self.coeffs))
         )
 
-    def reduce_mod(self, ctx) -> Polynomial:
-        """Reduction mod p; accepts a prime or a prime-field context."""
-        if isinstance(ctx, int):
-            ctx = ff.PrimeFieldContext(ctx)
-        return Polynomial._raw(ctx, _norm([c % ctx.p for c in self.coeffs], 0))
+    def reduce_mod(self, p: int) -> Polynomial:
+        """Reduction mod the prime p, over F_p."""
+        return Polynomial._raw(ff.PrimeFieldContext(p), _norm([c % p for c in self.coeffs], 0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerPolynomial) and other.coeffs == self.coeffs
@@ -455,15 +453,6 @@ class SplittingType:
     @property
     def squarefree(self) -> bool:
         return all(m == 1 for _, m in self.pairs)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(d * m for d, m in self.pairs)
-
-    @property
-    def factor_count(self) -> int:
-        """Number of distinct irreducible factors."""
-        return len(self.pairs)
 
     def __str__(self) -> str:
         return " ".join(f"{d}^{m}" for d, m in self.pairs)

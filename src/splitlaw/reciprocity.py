@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ff
 from .errors import (
     EmptyRange,
     EvenDegree,
@@ -116,12 +115,22 @@ def discriminant(f: IntegerPolynomial) -> int:
 # ---------------------------------------------------------------------------
 
 
-def good_primes(f: IntegerPolynomial, bound: int) -> list[int]:
-    """Odd primes <= bound not dividing disc(f); f mod p is then squarefree."""
-    disc = discriminant(f)
+def _split_primes(bound: int, *polys: IntegerPolynomial) -> tuple[list[int], list[int]]:
+    """(good, bad) primes <= bound; bad means 2 or a divisor of some disc."""
+    disc = 1
+    for f in polys:
+        disc *= discriminant(f)
     if disc == 0:
         raise ZeroDiscriminant("polynomial has a repeated root over the rationals")
-    return [p for p in sieve_primes(bound) if p != 2 and disc % p != 0]
+    good, bad = [], []
+    for p in sieve_primes(bound):
+        (bad if p == 2 or disc % p == 0 else good).append(p)
+    return good, bad
+
+
+def good_primes(f: IntegerPolynomial, bound: int) -> list[int]:
+    """Odd primes <= bound not dividing disc(f); f mod p is then squarefree."""
+    return _split_primes(bound, f)[0]
 
 
 def splits_completely(f: IntegerPolynomial, p: int) -> bool:
@@ -132,11 +141,10 @@ def splits_completely(f: IntegerPolynomial, p: int) -> bool:
     x^p = x mod f. That product has no repeated factor, so divisibility
     also settles squarefreeness.
     """
-    ctx = ff.PrimeFieldContext(p)
-    fbar = f.reduce_mod(ctx)
+    fbar = f.reduce_mod(p)
     if fbar.degree != f.degree or fbar.degree < 1:
         return False
-    x = Polynomial.x(ctx)
+    x = Polynomial.x(fbar.ctx)
     return x.pow_mod(p, fbar) == x % fbar
 
 
@@ -236,12 +244,7 @@ def verify_law(
     runs serially in this process.
     """
     genus = _validate_law_input(f)
-    disc = discriminant(f)
-    if disc == 0:
-        raise ZeroDiscriminant("polynomial has a repeated root over the rationals")
-    primes = sieve_primes(bound)
-    bad = tuple(p for p in primes if p == 2 or disc % p == 0)
-    good = [p for p in primes if p != 2 and disc % p != 0]
+    good, bad = _split_primes(bound, f)
     record = functools.partial(_prime_record, f, genus, seed)
     workers = min(workers, len(good), os.cpu_count() or 1)
     if workers > 1:
@@ -257,7 +260,7 @@ def verify_law(
         f=f,
         genus=genus,
         bound=bound,
-        bad_primes=bad,
+        bad_primes=tuple(bad),
         records=records,
         spl=spl,
         verdict=verdict,
@@ -297,15 +300,7 @@ def inclusion_check(
         if poly.degree < 2:
             raise UnsupportedDegree("inclusion test requires degree >= 2")
         _check_heuristic_irreducible(poly)
-    df = discriminant(f)
-    dh = discriminant(h)
-    if df == 0 or dh == 0:
-        raise ZeroDiscriminant("polynomial has a repeated root over the rationals")
-    good = [
-        p
-        for p in sieve_primes(bound)
-        if p != 2 and df % p != 0 and dh % p != 0
-    ]
+    good, _ = _split_primes(bound, f, h)
     exceptions = tuple(
         p for p in good if splits_completely(f, p) and not splits_completely(h, p)
     )

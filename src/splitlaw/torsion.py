@@ -200,9 +200,6 @@ class BinaryMatrix:
                     rows[i] |= 1 << j
         return cls(rows)
 
-    def column(self, j: int) -> int:
-        return sum((self.rows[i] >> j & 1) << i for i in range(self.n))
-
     def to_lists(self) -> list[list[int]]:
         return [[r >> j & 1 for j in range(self.n)] for r in self.rows]
 
@@ -220,26 +217,6 @@ class BinaryMatrix:
                 j += 1
             rows.append(acc)
         return BinaryMatrix(rows)
-
-    def __pow__(self, e: int) -> "BinaryMatrix":
-        if e < 0:
-            raise ValueError("negative matrix power")
-        result = BinaryMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def apply(self, vec: int) -> int:
-        """Matrix-vector product over F_2; vec is a column bitmask."""
-        out = 0
-        for i in range(self.n):
-            if bin(self.rows[i] & vec).count("1") & 1:
-                out |= 1 << i
-        return out
 
     @property
     def is_identity(self) -> bool:

@@ -363,16 +363,21 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
     assert status == 1 and "bound" in err
 
 
-def test_argparse_misuse_exits_one():
+def test_argparse_misuse_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["factor", "x^3-2"])  # missing required -p
     assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "splitlaw factor: error: the following arguments are required: -p" in err
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 1
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["verify", "x^3-2", "--bound", "50", "--ext-cap", "5"])  # frobenius only
     assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "splitlaw: error: unrecognized arguments: --ext-cap 5" in err
 
 
 def test_frobenius_splitting_degree_matches_factorization(capsys, schema):

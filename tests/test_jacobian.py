@@ -37,12 +37,12 @@ def curve(p, coeffs):
 
 
 def point_divisor(C, x0, y0):
-    ctx = C.ctx
+    ctx = C.f.ctx
     return MumfordDivisor(C, Polynomial(ctx, [-x0, 1]), Polynomial(ctx, [y0]))
 
 
 def affine_points(C):
-    ctx = C.ctx
+    ctx = C.f.ctx
     pts = []
     for x0 in range(ctx.p):
         fx = C.f(ctx.element(x0)).value
@@ -81,13 +81,13 @@ def test_identity_element_is_u_one_v_zero():
     C = curve(7, [-2, 0, 0, 1])
     E = C.identity()
     assert E.is_identity
-    assert E.u == Polynomial.one(C.ctx)
+    assert E.u == Polynomial.one(C.f.ctx)
     assert E.v.is_zero
 
 
 def test_divisor_validation():
     C = curve(31, [-2, 0, 0, 1])
-    ctx = C.ctx
+    ctx = C.f.ctx
     D = point_divisor(C, 4, 0)
     assert D.u.coeffs == (27, 1)
     with pytest.raises(NotOnJacobian):
@@ -116,7 +116,7 @@ def test_divisors_work_over_extension_fields():
     D = MumfordDivisor(
         C, Polynomial(ext, [ext.neg(roots[0]), 1]), Polynomial.zero(ext)
     )
-    assert (D + D).is_identity
+    assert add(D, D).is_identity
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_divisors_work_over_extension_fields():
 
 def chord_sum(C, P, Q):
     """Classical group law on y^2 = cubic; None encodes the point at infinity."""
-    p = C.ctx.p
+    p = C.f.ctx.p
     f = C.f
     a2 = f.coeffs[2] if f.degree >= 2 else 0
     x1, y1 = P
@@ -134,7 +134,7 @@ def chord_sum(C, P, Q):
     if x1 == x2 and (y1 + y2) % p == 0:
         return None
     if P == Q:
-        lam = (f.derivative()(C.ctx.element(x1)).value * pow(2 * y1, p - 2, p)) % p
+        lam = (f.derivative()(C.f.ctx.element(x1)).value * pow(2 * y1, p - 2, p)) % p
     else:
         lam = ((y2 - y1) * pow(x2 - x1, p - 2, p)) % p
     x3 = (lam * lam - a2 - x1 - x2) % p
@@ -293,22 +293,13 @@ def test_scalar_mul_is_repeated_addition():
     for n in range(8):
         assert scalar_mul(n, D) == acc
         acc = add(acc, D)
-    assert 3 * D == scalar_mul(3, D)
     with pytest.raises(ValueError):
         scalar_mul(-1, D)
 
 
-def test_operator_sugar_matches_functions():
-    C = curve(13, [-2, 0, 0, 1])
-    P, Q = affine_points(C)[:2]
-    DP, DQ = point_divisor(C, *P), point_divisor(C, *Q)
-    assert DP + DQ == add(DP, DQ)
-    assert -DP == neg(DP)
-
-
 def test_divisor_constructor_routes_through_validation():
     C = curve(31, [-2, 0, 0, 1])
-    ctx = C.ctx
+    ctx = C.f.ctx
     D = MumfordDivisor(C, Polynomial(ctx, [27, 1]), Polynomial.zero(ctx))
     assert D == point_divisor(C, 4, 0)
     with pytest.raises(NotOnJacobian):

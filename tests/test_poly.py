@@ -299,8 +299,8 @@ def test_odd_degree_splitting_type_sums_to_degree(p, deg, seed):
     rng = random.Random(seed)
     f = Polynomial(ctx, [rng.randrange(p) for _ in range(deg)] + [1])
     st_ = factorize(f, seed).splitting_type()
-    assert st_.total_degree == deg
-    assert st_.factor_count <= deg
+    assert sum(d * m for d, m in st_.pairs) == deg
+    assert len(st_.pairs) <= deg
 
 
 def test_factorize_is_seed_deterministic():
@@ -444,7 +444,6 @@ def test_integer_polynomial_str_and_reduce():
     assert str(IntegerPolynomial([])) == "0"
     fbar = f.reduce_mod(31)
     assert fbar.coeffs == (29, 0, 0, 1)
-    assert f.reduce_mod(PrimeFieldContext(31)) == fbar
 
 
 def test_integer_polynomial_calculus():

@@ -150,6 +150,37 @@ def test_good_primes_rejects_zero_discriminant():
         good_primes(IntegerPolynomial([1, 3, 3, 1]), 100)  # (x+1)^3
 
 
+def sympy_good_and_bad(polys, bound):
+    """Split the primes <= bound by the rule: bad iff p = 2 or p | some disc."""
+    discs = [int(sympy.discriminant(to_sympy(f))) for f in polys]
+    good, bad = [], []
+    for p in sympy.primerange(2, bound + 1):
+        (bad if p == 2 or any(d % p == 0 for d in discs) else good).append(p)
+    return good, bad
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[-2, 0, 0, 1], [-1, -1, 0, 0, 0, 1], [3, 1, -4, 1, 5, -9, 1, 1], [1, 1, 0, 1]],
+)
+def test_good_prime_rule_matches_sympy(coeffs):
+    f = IntegerPolynomial(coeffs)
+    good, bad = sympy_good_and_bad([f], 1000)
+    assert good_primes(f, 1000) == good
+    report = verify_law(f, 1000)
+    assert report.bad_primes == tuple(bad)
+    assert [r.p for r in report.records] == good
+
+
+@pytest.mark.parametrize(
+    "fc, hc", [([-2, 0, 0, 1], [3, 0, 1]), ([-1, -1, 0, 0, 0, 1], [-2, 0, 0, 1])]
+)
+def test_inclusion_good_count_matches_sympy(fc, hc):
+    f, h = IntegerPolynomial(fc), IntegerPolynomial(hc)
+    good, _ = sympy_good_and_bad([f, h], 1000)
+    assert inclusion_check(f, h, 1000).good_count == len(good)
+
+
 # ---------------------------------------------------------------------------
 # Complete splitting
 # ---------------------------------------------------------------------------
@@ -192,7 +223,7 @@ def test_splitting_type_and_fast_path_agree():
     for p in good_primes(f, 200):
         st_ = factorize(f.reduce_mod(p), seed=0).splitting_type()
         assert st_.all_linear == splits_completely(f, p)
-        assert st_.total_degree == 5
+        assert sum(d * m for d, m in st_.pairs) == 5
 
 
 def test_splitting_type_matches_sympy():
