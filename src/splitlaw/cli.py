@@ -9,24 +9,26 @@ of that reproducibility.
 
 Exit codes: 0 on success (including a failing inclusion test, which is a
 valid answer), 1 on usage or input errors, 2 when a verify sweep finds a
-law violation. The theorem says 2 cannot happen, so that exit code is a
-loud bug report.
+law violation, 3 when an internal check fails (errors.INTERNAL_ERRORS).
+The theorem says 2 cannot happen, so that exit code is a loud bug report.
+Exit 3 writes no report, only one stderr line, which names the prime and
+its derived seed when the failure was in the work at one prime.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__, ff, jacobian, reciprocity, torsion
-from .errors import PolynomialSyntaxError, SplitlawError
+from .errors import INTERNAL_ERRORS, PolynomialSyntaxError, SplitlawError
 from .poly import IntegerPolynomial, Polynomial, factorize
 from .reciprocity import DEFAULT_SEED
 
@@ -35,9 +37,10 @@ SEED_ENV_VAR = "SPLITLAW_SEED"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+EXIT_INTERNAL = 3
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Everything a subcommand needs; echoed verbatim into the report."""
 
@@ -188,7 +191,8 @@ def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
     fbar = f.reduce_mod(p)
     if fbar.is_zero:
         raise SplitlawError(f"polynomial vanishes identically mod {p}")
-    fact = factorize(fbar, f"{config.seed}:{p}")
+    with reciprocity.at_prime(config.seed, p) as seed:
+        fact = factorize(fbar, seed)
     st = fact.splitting_type()
     factors = [
         {
@@ -216,7 +220,8 @@ def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
     p = config.prime
     fbar = f.reduce_mod(p)
     curve = jacobian.HyperellipticCurve(fbar)
-    sub = torsion.two_torsion_points(curve, seed=f"{config.seed}:{p}")
+    with reciprocity.at_prime(config.seed, p) as seed:
+        sub = torsion.two_torsion_points(curve, seed=seed)
     elements = [
         {"u": _field_poly_json(D.u), "v": _field_poly_json(D.v)}
         for D in sub.elements
@@ -290,15 +295,7 @@ def _cmd_density(config: RunConfig, polys: list[IntegerPolynomial]):
         "deviation": _fraction_json(rep.deviation),
     }
     payload = {"polynomial": _poly_json(f), "records": [record]}
-    fields = [
-        "bound",
-        "good_count",
-        "split_count",
-        "observed",
-        "group_order",
-        "deviation",
-    ]
-    return payload, "records", fields, EXIT_OK
+    return payload, "records", list(record), EXIT_OK
 
 
 def _cmd_include(config: RunConfig, polys: list[IntegerPolynomial]):
@@ -321,25 +318,25 @@ def _cmd_frobenius(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
     records = []
     for p in reciprocity.good_primes(f, config.bound):
-        fbar = f.reduce_mod(p)
-        per_seed = f"{config.seed}:{p}"
-        perm = torsion.frobenius_permutation(fbar, p, per_seed, cap=config.ext_cap)
-        M = torsion.permutation_matrix(perm)
-        # for squarefree f mod p, the degree of its splitting field is the
-        # order of Frobenius on the roots
-        order = torsion.permutation_order(perm)
-        records.append(
-            {
-                "p": p,
-                "splitting_degree": order,
-                "matrix": M.to_lists(),
-                "order": M.order(),
-                "permutation": perm,
-                "permutation_order": order,
-                "is_identity": M.is_identity,
-                "splits_completely": reciprocity.splits_completely(f, p),
-            }
-        )
+        with reciprocity.at_prime(config.seed, p) as seed:
+            fbar = f.reduce_mod(p)
+            perm = torsion.frobenius_permutation(fbar, p, seed, cap=config.ext_cap)
+            M = torsion.permutation_matrix(perm)
+            # for squarefree f mod p, the degree of its splitting field is the
+            # order of Frobenius on the roots
+            order = torsion.permutation_order(perm)
+            records.append(
+                {
+                    "p": p,
+                    "splitting_degree": order,
+                    "matrix": M.to_lists(),
+                    "order": M.order(),
+                    "permutation": perm,
+                    "permutation_order": order,
+                    "is_identity": M.is_identity,
+                    "splits_completely": reciprocity.splits_completely(f, p),
+                }
+            )
     payload = {
         "polynomial": _poly_json(f),
         "bound": config.bound,
@@ -414,7 +411,7 @@ def _envelope(config: RunConfig, payload: dict, exit_status: int) -> dict:
     stamp = None
     if config.stamp:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    echo = asdict(config)
+    echo = dataclasses.asdict(config)
     # workers and output affect scheduling and destination, never content;
     # dropping them keeps equal-config reports byte-identical across widths
     del echo["workers"]
@@ -502,6 +499,10 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except INTERNAL_ERRORS as exc:
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"error: internal: {type(exc).__name__}: {exc}{notes}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     if config.fmt == "json":
         envelope = _envelope(config, payload, status)
@@ -617,34 +618,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    polys: tuple[str, ...] = ()
-    if hasattr(args, "polynomial"):
-        polys = (args.polynomial,)
-    elif hasattr(args, "f"):
-        polys = (args.f, args.h)
-    coeffs = None
-    if getattr(args, "coeffs", None) is not None:
+    given = vars(args)
+    names = {field.name for field in dataclasses.fields(RunConfig)}
+    values = {key: value for key, value in given.items() if key in names}
+    values["polynomials"] = tuple(
+        given[key] for key in ("polynomial", "f", "h") if key in given
+    )
+    if "coeffs" in values:
         try:
-            coeffs = tuple(int(c.strip()) for c in args.coeffs.split(","))
+            values["coeffs"] = tuple(int(c) for c in values["coeffs"].split(","))
         except ValueError:
             raise PolynomialSyntaxError(
                 "coefficients must be a comma-separated integer list", position=0
             ) from None
-    return RunConfig(
-        command=args.command,
-        polynomials=polys,
-        prime=getattr(args, "prime", None),
-        bound=getattr(args, "bound", None),
-        seed=args.seed,
-        fmt=args.fmt,
-        output=args.output,
-        workers=getattr(args, "workers", 1),
-        ext_cap=getattr(args, "ext_cap", ff.DEFAULT_EXT_CAP),
-        group_order=getattr(args, "group_order", None),
-        genus=getattr(args, "genus", None),
-        coeffs=coeffs,
-        stamp=args.stamp,
-    )
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

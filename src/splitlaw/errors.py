@@ -83,3 +83,8 @@ class PolynomialSyntaxError(SplitlawError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+# A failed internal check, as opposed to refused input: the CLI exits 3 on
+# these. BrokenProcessPool is a RuntimeError.
+INTERNAL_ERRORS = (RuntimeError, AssertionError, ArithmeticError)

@@ -55,10 +55,9 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # The F_p[x] kernel: polynomials over a prime field as int tuples (ascending,
-# normalized: no trailing zero), p passed explicitly. It backs F_{p^k}
-# arithmetic here and every prime-field Polynomial in poly.py, which keeps
-# context-generic loops only for coefficients in F_{p^k}. Algorithms are the
-# classical ones (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).
+# normalized: no trailing zero), p passed explicitly. It backs F_{p^k} and
+# every prime-field Polynomial in poly.py; _pddf is its one distinct-degree
+# loop. Algorithms: von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3, 14.
 # ---------------------------------------------------------------------------
 
 
@@ -147,22 +146,34 @@ def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple, tu
     return tuple(r0), s0, t0
 
 
-def _pirreducible(m: Sequence[int], p: int) -> bool:
-    """Ben-Or irreducibility test for monic m over F_p.
+def _pddf(f: Sequence[int], p: int) -> Iterator[tuple[tuple, int]]:
+    """Parts (g, d) of squarefree monic f by increasing d, g = gcd(x^(p^d) - x, f).
 
-    A reducible m of degree n has an irreducible factor of some degree
-    i <= n/2, which then divides gcd(x^(p^i) - x, m). Trying i = 1, 2, ...
-    in turn rejects most reducible candidates after a few p-th powers.
+    g is the product of the degree-d irreducible factors once lower degrees
+    are divided out; the last part is the irreducible rest once deg f < 2(d + 1).
     """
-    n = len(m) - 1
-    if n < 1:
-        return False
-    x = y = (0, 1)
-    for _ in range(n // 2):
-        y = _ppowmod(y, p, m, p)
-        if len(_pgcd(_psub(y, x, p), m, p)) != 1:
-            return False
-    return True
+    x = w = (0, 1)
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        w = _ppowmod(w, p, f, p)  # reduces w modulo the current f first
+        g = _pgcd(_psub(w, x, p), f, p)
+        if len(g) > 1:
+            yield g, d
+            f, r = _pdivmod(f, g, p)
+            if r:
+                raise ArithmeticError("division expected to be exact left a remainder")
+    if len(f) > 1:
+        yield tuple(f), len(f) - 1
+
+
+def _pirreducible(m: Sequence[int], p: int) -> bool:
+    """Ben-Or's test for monic m over F_p: its first distinct-degree part is m.
+
+    A reducible m, squarefree or not, has a factor of degree d <= deg m / 2,
+    found at step d, so most reducible m are rejected after a few p-th powers.
+    """
+    return len(m) > 1 and next(_pddf(m, p))[1] == len(m) - 1
 
 
 # ---------------------------------------------------------------------------

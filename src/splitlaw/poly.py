@@ -9,7 +9,7 @@ gcds and modular powers run on the int-tuple F_p[x] kernel in ff; the
 context-generic loops below serve coefficients in F_{p^k} only.
 
 Factorization follows the classic pipeline: squarefree decomposition, then
-distinct-degree splitting against x^(q^d) - x, then randomized equal-degree
+distinct-degree splitting (ff._pddf), then randomized equal-degree
 splitting. The randomness is an explicit seed, and factors are returned in
 a canonical order, so results are reproducible.
 
@@ -27,8 +27,6 @@ from typing import Iterable
 
 from . import ff
 from .errors import UndefinedGcd, ZeroDivisor
-
-_ROOTS_SEED = 0x0E1F  # internal seed for root isolation, see roots_in
 
 
 def _norm(coeffs: list, zero) -> tuple:
@@ -503,27 +501,6 @@ def _squarefree_parts(f: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _distinct_degree_parts(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Split squarefree monic f into products of equal-degree irreducibles."""
-    ctx = f.ctx
-    q = ctx.order
-    out = []
-    w = Polynomial.x(ctx) % f
-    x = Polynomial.x(ctx)
-    d = 0
-    while f.degree >= 2 * (d + 1):
-        d += 1
-        w = w.pow_mod(q, f)
-        part = poly_gcd(w - x, f)
-        if part.degree > 0:
-            out.append((part, d))
-            f = f.exact_div(part)
-            w = w % f
-    if f.degree > 0:
-        out.append((f, f.degree))
-    return out
-
-
 def _random_split(f: Polynomial, d: int, rng: random.Random) -> Polynomial:
     """A proper monic factor of f, a product of degree-d irreducibles (q odd).
 
@@ -573,8 +550,8 @@ def factorize(f: Polynomial, seed) -> Factorization:
     factors: list[tuple[Polynomial, int]] = []
     if fm.degree > 0:
         for part, mult in _squarefree_parts(fm):
-            for prod, d in _distinct_degree_parts(part):
-                for irr in _equal_degree_split(prod, d, rng):
+            for prod, d in ff._pddf(part.coeffs, f.ctx.p):
+                for irr in _equal_degree_split(Polynomial._raw(f.ctx, prod), d, rng):
                     factors.append((irr, mult))
     factors.sort(key=lambda fm_: fm_[0].key())
     result = Factorization(unit=unit, factors=tuple(factors))
@@ -583,14 +560,16 @@ def factorize(f: Polynomial, seed) -> Factorization:
     return result
 
 
-def roots_in(f: Polynomial, ctx: ff.FieldContext) -> list[ff.FieldElement]:
+def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]:
     """All distinct roots in ctx of f over the prime field F_p beneath ctx.
 
     h = gcd(x^q - x, f) is formed over F_p. Then, until h = 1, one root r of
     h is isolated by Cantor-Zassenhaus over ctx, always keeping the smaller
     part of a split, and the rest of the roots of r's minimal polynomial m
     are its Frobenius orbit r, r^p, r^(p^2), ...; m is divided out of h.
-    Roots are returned in canonical order. f must have F_p coefficients.
+    The descent draws from random.Random(seed), but the roots are returned
+    in canonical order, so the result does not depend on the seed. f must
+    have F_p coefficients.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every element as a root")
@@ -601,7 +580,7 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext) -> list[ff.FieldElement]:
     f = f.monic()
     x = Polynomial.x(base)
     h = poly_gcd(x.pow_mod(ctx.order, f) - x, f)
-    rng = random.Random(_ROOTS_SEED)
+    rng = random.Random(seed)
     roots = []
     while h.degree > 0:
         g = embed_poly(h, ctx) if ext else h

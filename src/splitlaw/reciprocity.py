@@ -18,6 +18,7 @@ finitely many exceptions tolerates.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    INTERNAL_ERRORS,
     EmptyRange,
     EvenDegree,
     NotIrreducible,
@@ -214,11 +216,23 @@ def _validate_law_input(f: IntegerPolynomial) -> int:
     return (f.degree - 1) // 2
 
 
+@contextlib.contextmanager
+def at_prime(seed, p: int):
+    """Yield the seed for the work at p; note both on an internal failure in it."""
+    derived = f"{seed}:{p}"
+    try:
+        yield derived
+    except INTERNAL_ERRORS as exc:
+        exc.add_note(f"at p = {p}, seed {derived}")
+        raise
+
+
 def _prime_record(f: IntegerPolynomial, genus: int, seed, p: int) -> PrimeRecord:
     """Both sides of the law at p; the two sides share no code path."""
-    fbar = f.reduce_mod(p)
-    split = splits_completely(f, p)
-    sub = two_torsion_points(HyperellipticCurve(fbar), seed=f"{seed}:{p}")
+    with at_prime(seed, p) as derived:
+        fbar = f.reduce_mod(p)
+        split = splits_completely(f, p)
+        sub = two_torsion_points(HyperellipticCurve(fbar), seed=derived)
     law = split == (sub.rank == 2 * genus)
     return PrimeRecord(
         p=p,

@@ -37,8 +37,6 @@ from .poly import (
     roots_in,
 )
 
-_TORSION_SEED = 0x2B11  # internal seed for the factorization step
-
 
 @dataclass(frozen=True)
 class TwoTorsionSubgroup:
@@ -63,7 +61,7 @@ def embed_root(e: ff.FieldElement, C: HyperellipticCurve) -> MumfordDivisor:
     return MumfordDivisor._make(C, u, Polynomial.zero(C.f.ctx))
 
 
-def two_torsion_points(C: HyperellipticCurve, seed=_TORSION_SEED) -> TwoTorsionSubgroup:
+def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
     """The full rational 2-torsion subgroup, each element doubling-verified.
 
     Elements are the classes (u, 0) for monic u | f with deg u <= g, built
@@ -129,7 +127,7 @@ def _splitting_data(f: Polynomial, p: int, seed, cap: int):
     ctx = f.ctx if k == 1 else ff.ext_new(p, k, seed, cap=cap)
     roots = tuple(
         sorted(
-            (e for part, _ in fact.factors for e in roots_in(part, ctx)),
+            (e for part, _ in fact.factors for e in roots_in(part, ctx, seed)),
             key=ff.FieldElement.key,
         )
     )

@@ -11,6 +11,7 @@ import importlib.resources
 import io
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 import jsonschema
@@ -21,6 +22,7 @@ from splitlaw import (
     factorize,
     reciprocity,
     sieve_primes,
+    torsion,
 )
 from splitlaw.cli import _cell, main, parse_polynomial
 
@@ -361,6 +363,37 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
         assert status == 1 and "workers" in err
     status, _, err = run_cli(capsys, "verify", "x^3-2", "--bound", "2147483648")
     assert status == 1 and "bound" in err
+
+
+# the per-prime entry point each sweep calls, and how to read p off its arguments
+PER_PRIME_WORK = [
+    ("verify", reciprocity, "two_torsion_points", lambda C, **kw: C.f.ctx.p),
+    ("frobenius", torsion, "frobenius_permutation", lambda f, p, *a, **kw: p),
+]
+
+
+@pytest.mark.parametrize(
+    "error", [RuntimeError, BrokenProcessPool, AssertionError, ZeroDivisionError]
+)
+@pytest.mark.parametrize("command, module, name, prime_of", PER_PRIME_WORK)
+def test_internal_failure_exits_three(
+    monkeypatch, capsys, tmp_path, error, command, module, name, prime_of
+):
+    real = getattr(module, name)
+
+    def fail_at_7(*args, **kwargs):
+        if prime_of(*args, **kwargs) == 7:
+            raise error("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fail_at_7)
+    target = tmp_path / "report.json"
+    status, out, err = run_cli(
+        capsys, command, "x^3-2", "--bound", "50", "--seed", "11", "-o", str(target)
+    )
+    assert status == 3
+    assert err == f"error: internal: {error.__name__}: injected (at p = 7, seed 11:7)\n"
+    assert out == "" and not target.exists()
 
 
 def test_argparse_misuse_exits_one(capsys):

@@ -10,7 +10,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitlaw import (
@@ -24,8 +24,9 @@ from splitlaw import (
     ext_new,
     factorize,
     is_prime,
+    is_squarefree,
 )
-from splitlaw.ff import _pirreducible
+from splitlaw.ff import _pddf, _pirreducible
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 97, 101]
 
@@ -240,6 +241,28 @@ def test_irreducibility_test_agrees_with_factorize(p, low):
     m = tuple(c % p for c in low) + (1,)
     fact = factorize(Polynomial(PrimeFieldContext(p), m), seed=0)
     assert _pirreducible(m, p) == (len(fact.factors) == 1 and fact.factors[0][1] == 1)
+
+
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    low=st.lists(st.integers(0, 6), min_size=1, max_size=9),
+)
+@example(p=3, low=[0, 2, 0])  # x^3 - x: x^3 = x mod f, so the first part is f
+@example(p=3, low=[1, 2, 2, 1, 1, 2, 0, 1, 0])  # factors of degree 1, 2 and 6
+@settings(max_examples=200, deadline=None)
+def test_distinct_degree_parts_are_equal_degree_products(p, low):
+    ctx = PrimeFieldContext(p)
+    f = Polynomial(ctx, low + [1])
+    assume(is_squarefree(f))
+    parts = list(_pddf(f.coeffs, p))
+    degrees = [d for _, d in parts]
+    assert degrees == sorted(set(degrees))
+    product = Polynomial.one(ctx)
+    for g, d in parts:
+        part = Polynomial(ctx, g)
+        product = product * part
+        assert {h.degree for h, _ in factorize(part, seed=0).factors} == {d}
+    assert product == f
 
 
 @given(

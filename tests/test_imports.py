@@ -1,4 +1,5 @@
-"""Every module-level import and private helper in the package source is used.
+"""Every module-level import and private helper in the package source is
+used, and every random stream is seeded by the caller.
 
 No linter ships with the project, so this reads each module with the
 standard library's ast. `__init__.py` is skipped: it imports names only to
@@ -85,3 +86,43 @@ def test_private_definitions_are_referenced(path):
         and not any(node.name in names for stmt, names in statements if stmt is not node)
     )
     assert not unreferenced, f"{path.name}: unreferenced {', '.join(unreferenced)}"
+
+
+def _module_constants(tree: ast.Module) -> set[str]:
+    """Names bound by top-level assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _random_constructions(tree: ast.Module):
+    """Calls of random.Random, or of Random imported by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Random":
+                yield node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_random_streams_are_seeded_by_the_caller(path):
+    # all randomness derives from the one seed a caller passes (--seed), so no
+    # stream may be unseeded or seeded from a literal or a module constant
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    constants = _module_constants(tree)
+    fixed = []
+    for call in _random_constructions(tree):
+        seeds = [*call.args, *(k.value for k in call.keywords)]
+        if not seeds or any(
+            isinstance(s, ast.Constant) or _referenced_names(s) & constants for s in seeds
+        ):
+            fixed.append(f"line {call.lineno}")
+    assert not fixed, f"{path.name}: random.Random not seeded by the caller at {', '.join(fixed)}"

@@ -328,7 +328,7 @@ def test_splitting_type_str():
 def test_roots_of_cubic_mod_31():
     ctx = PrimeFieldContext(31)
     f = Polynomial(ctx, [-2, 0, 0, 1])
-    roots = roots_in(f, ctx)
+    roots = roots_in(f, ctx, seed=0)
     assert [r.value for r in roots] == [4, 7, 20]
     assert all(f(r).is_zero for r in roots)
 
@@ -336,9 +336,9 @@ def test_roots_of_cubic_mod_31():
 def test_roots_appear_in_the_splitting_field():
     base = PrimeFieldContext(5)
     f = Polynomial(base, [-2, 0, 0, 1])
-    assert len(roots_in(f, base)) == 1
+    assert len(roots_in(f, base, seed=0)) == 1
     ext = ext_new(5, 2, seed=9)
-    roots = roots_in(f, ext)
+    roots = roots_in(f, ext, seed=0)
     assert len(roots) == 3
     fe = embed_poly(f, ext)
     assert all(fe(r).is_zero for r in roots)
@@ -348,8 +348,19 @@ def test_roots_appear_in_the_splitting_field():
 def test_roots_in_counts_distinct_roots_once():
     ctx = PrimeFieldContext(5)
     f = Polynomial(ctx, [1, 1]) ** 3  # (x+1)^3
-    roots = roots_in(f, ctx)
+    roots = roots_in(f, ctx, seed=0)
     assert [r.value for r in roots] == [4]
+
+
+def test_roots_in_does_not_depend_on_the_seed():
+    # (x + 1)(x^2 + 1)(an irreducible sextic) over F_3 splits in F_{3^6}
+    base = PrimeFieldContext(3)
+    f = Polynomial(base, [1, 2, 2, 1, 1, 2, 0, 1, 0, 1])
+    ctx = ext_new(3, 6, seed=0)
+    expected = roots_in(f, ctx, seed=0)
+    assert len(expected) == 9
+    for seed in (1, 2, 3, "271828:3", "314159:3"):
+        assert roots_in(f, ctx, seed=seed) == expected
 
 
 @given(
@@ -378,18 +389,18 @@ def test_roots_in_matches_brute_force(pk, seed, lead, factors):
             f = f * Polynomial(ctx.base, low + [1]) ** mult
     fe = embed_poly(f, ctx)
     expected = sorted(e for e in ctx.iter_raw() if fe.evaluate_raw(e) == ctx.zero)
-    assert [r.value for r in roots_in(f, ctx)] == expected
+    assert [r.value for r in roots_in(f, ctx, seed=seed)] == expected
 
 
 def test_roots_in_needs_prime_field_coefficients():
     ext = ext_new(5, 2, seed=9)
     f = Polynomial(ext.base, [-2, 0, 0, 1])
     with pytest.raises(ValueError, match="prime field"):
-        roots_in(embed_poly(f, ext), ext)
+        roots_in(embed_poly(f, ext), ext, seed=0)
     with pytest.raises(ValueError, match="prime field"):
-        roots_in(Polynomial(PrimeFieldContext(7), [1, 1]), ext)
+        roots_in(Polynomial(PrimeFieldContext(7), [1, 1]), ext, seed=0)
     with pytest.raises(ValueError, match="zero polynomial"):
-        roots_in(Polynomial.zero(ext.base), ext)
+        roots_in(Polynomial.zero(ext.base), ext, seed=0)
 
 
 class ZeroRandom(random.Random):

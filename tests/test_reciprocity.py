@@ -262,7 +262,7 @@ def test_verify_law_record_cross_check():
         assert r.law_consistent == (r.splits_completely == (r.torsion_rank == 2))
         # recompute the rank through the public curve route
         C = HyperellipticCurve(CUBE.reduce_mod(r.p))
-        assert two_torsion_points(C).rank == r.torsion_rank
+        assert two_torsion_points(C, seed=0).rank == r.torsion_rank
 
 
 def test_verify_law_is_worker_invariant():

@@ -48,17 +48,17 @@ def curve(p, coeffs):
 )
 def test_cubic_two_torsion_counts(p, count, rank, n):
     C = curve(p, [-2, 0, 0, 1])
-    sub = two_torsion_points(C)
+    sub = two_torsion_points(C, seed=0)
     assert len(sub) == count == len(sub.elements)
     assert sub.rank == rank
     assert sub.n == n == len(sub.factorization.splitting_type().pairs)
-    assert two_torsion_points(C).rank == rank
+    assert two_torsion_points(C, seed=0).rank == rank
     assert len(sub.elements) == 2 ** (n - 1)
 
 
 def test_two_torsion_elements_have_v_zero_and_order_two():
     C = curve(31, [-2, 0, 0, 1])
-    sub = two_torsion_points(C)
+    sub = two_torsion_points(C, seed=0)
     for D in sub.elements:
         assert D.v.is_zero
         assert add(D, D).is_identity
@@ -80,12 +80,12 @@ def test_two_torsion_is_exactly_the_doubling_kernel(p, coeffs):
     C = curve(p, coeffs)
     J = enumerate_jacobian(C)
     kernel = {D for D in J if add(D, D).is_identity}
-    assert set(two_torsion_points(C).elements) == kernel
+    assert set(two_torsion_points(C, seed=0).elements) == kernel
 
 
 def test_two_torsion_subgroup_is_closed():
     C = curve(7, [0, 3, 6, 0, 4, 1])
-    sub = two_torsion_points(C)
+    sub = two_torsion_points(C, seed=0)
     elements = set(sub.elements)
     assert len(elements) == 16 and sub.rank == 4
     for A in elements:
@@ -117,7 +117,7 @@ def test_basis_of_split_cubic_spans_the_two_torsion():
             if mask >> i & 1:
                 acc = add(acc, tb.basis[i])
         sums.add(acc)
-    assert sums == set(two_torsion_points(tb.curve).elements)
+    assert sums == set(two_torsion_points(tb.curve, seed=0).elements)
 
 
 def test_basis_of_split_quintic_spans_the_two_torsion():
@@ -132,7 +132,7 @@ def test_basis_of_split_quintic_spans_the_two_torsion():
                 acc = add(acc, tb.basis[i])
         sums.add(acc)
     assert len(sums) == 16
-    assert sums == set(two_torsion_points(tb.curve).elements)
+    assert sums == set(two_torsion_points(tb.curve, seed=0).elements)
 
 
 def test_basis_construction_over_an_extension():
