@@ -25,6 +25,9 @@ MODULUS_BOUND = 1 << 31  # residue products must fit a double-width int comforta
 DEFAULT_EXT_CAP = 64
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# below this, bases 2, 3, 5, 7 alone are a proof (Jaeschke 1993); it is
+# 151 * 751 * 28351, the least strong pseudoprime to all four
+_MR_FOUR_BASES_BOUND = 3_215_031_751
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -40,7 +43,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _MR_FOUR_BASES_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -57,7 +60,9 @@ def is_prime(n: int) -> bool:
 # The F_p[x] kernel: polynomials over a prime field as int tuples (ascending,
 # normalized: no trailing zero), p passed explicitly. It backs F_{p^k} and
 # every prime-field Polynomial in poly.py; _pddf is its one distinct-degree
-# loop. Algorithms: von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3, 14.
+# loop. _ppowmod powers left to right modulo a fixed m and reduces through a
+# table of x^i mod m, so "times x" is a shift. Algorithms: von zur Gathen &
+# Gerhard, Modern Computer Algebra, ch. 2-4, 9, 14.
 # ---------------------------------------------------------------------------
 
 
@@ -108,16 +113,56 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple]:
 
 
 def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
-    """a^e mod m; e = 0 gives (1,) whatever m is."""
-    result = (1,)
+    """a^e mod nonzero m; e = 0 gives (1,) whatever m is.
+
+    Left-to-right square-and-multiply modulo the fixed m (NTL's PowerXMod).
+    m is scaled to monic, which leaves remainders unchanged, and the rows
+    x^(n+k) mod m, 0 <= k <= n - 2 with n = deg m, are tabulated once. A
+    product of degree <= 2n - 2, summed with delayed reduction, then folds
+    its top n - 1 coefficients back through the rows with one % p per
+    coefficient and no division loop. When a = x mod m, multiplying by it
+    is a shift plus the row x^n mod m.
+    """
+    if not e:
+        return (1,)
+    n = len(m) - 1
+    if m[-1] != 1:
+        inv = pow(m[-1], p - 2, p)
+        m = [c * inv % p for c in m]
     base = _pdivmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), m, p)[1]
-        e >>= 1
-        if e:
-            base = _pdivmod(_pmul(base, base, p), m, p)[1]
-    return result
+    if not base:
+        return ()
+    x_n = [-c % p for c in m[:n]]
+
+    def times_x(u: list) -> list:
+        return [(w + u[-1] * c) % p for w, c in zip([0, *u[:-1]], x_n)]
+
+    rows = [x_n]
+    for _ in range(n - 2):
+        rows.append(times_x(rows[-1]))
+    folds = list(zip(range(n, 2 * n - 1), rows))
+
+    def mulmod(u: list, v: list) -> list:
+        s = [0] * (2 * n - 1)
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v, i):
+                    s[j] += ui * vj
+        for k, row in folds:
+            c = s[k] % p
+            if c:
+                for i, t in enumerate(row):
+                    s[i] += c * t
+        del s[n:]
+        return [c % p for c in s]
+
+    is_x = base == (0, 1)
+    b = r = list(base) + [0] * (n - len(base))
+    for bit in bin(e)[3:]:
+        r = mulmod(r, r)
+        if bit == "1":
+            r = times_x(r) if is_x else mulmod(r, b)
+    return _pnorm(r)
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
@@ -403,8 +448,10 @@ def ext_new(p: int, k: int, seed, *, cap: int = DEFAULT_EXT_CAP) -> ExtFieldCont
         cand = [rng.randrange(p) for _ in range(k)] + [1]
         if cand[0] == 0:  # divisible by x, never irreducible for k >= 2
             continue
-        if _pirreducible(cand, p):
+        try:  # the constructor runs the one irreducibility test
             return ExtFieldContext(base, cand)
+        except ValueError:
+            continue
 
 
 class FieldElement:

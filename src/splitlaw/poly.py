@@ -144,8 +144,9 @@ def _powmod_raw(ctx, a: tuple, e: int, m: tuple) -> tuple:
     while e:
         if e & 1:
             result = _divmod_raw(ctx, _mul_raw(ctx, result, base), m)[1]
-        base = _divmod_raw(ctx, _mul_raw(ctx, base, base), m)[1]
         e >>= 1
+        if e:
+            base = _divmod_raw(ctx, _mul_raw(ctx, base, base), m)[1]
     return result
 
 
@@ -263,6 +264,8 @@ class Polynomial:
 
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
         modulus = self._check(modulus)
+        if modulus.is_zero:
+            raise ZeroDivisor("reduction modulo the zero polynomial")
         return Polynomial._raw(self.ctx, _powmod_raw(self.ctx, self.coeffs, e, modulus.coeffs))
 
     def monic(self) -> "Polynomial":

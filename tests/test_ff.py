@@ -10,6 +10,8 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,7 @@ from splitlaw import (
     is_prime,
     is_squarefree,
 )
-from splitlaw.ff import _pddf, _pirreducible
+from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 97, 101]
 
@@ -54,7 +56,8 @@ def test_is_prime_matches_sympy_on_small_range():
 
 @pytest.mark.parametrize(
     "n",
-    [561, 1105, 1729, 2465, 2821, 6601, 2047, 3277, 4033, 1373653, 25326001],
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+    [561, 1105, 1729, 2465, 2821, 6601, 2047, 3277, 4033, 1373653, 25326001, 3215031751],
 )
 def test_is_prime_rejects_classic_pseudoprimes(n):
     assert not is_prime(n)
@@ -63,6 +66,15 @@ def test_is_prime_rejects_classic_pseudoprimes(n):
 @pytest.mark.parametrize("n", [2147483629, 2147483647, 999999937])
 def test_is_prime_large_primes(n):
     assert is_prime(n)
+
+
+@given(n=st.integers(2000, 2**64))
+@example(n=3215031749)  # prime, just below the four-bases bound
+@example(n=3215031753)
+@example(n=2**31 - 1)
+@settings(max_examples=500, deadline=None)
+def test_is_prime_matches_sympy_on_both_sides_of_the_four_bases_bound(n):
+    assert is_prime(n) == sympy.isprime(n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +238,30 @@ def test_ext_new_enforces_cap():
 )
 def test_ext_new_moduli_are_pinned(p, k, seed, modulus):
     assert ext_new(p, k, seed=seed).modulus == modulus
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 31, 2**31 - 1]),
+    m=st.lists(st.integers(0, 2**31), min_size=1, max_size=10),
+    monic=st.booleans(),
+    a=st.one_of(
+        st.just([]),
+        st.just([0, 1]),
+        st.lists(st.integers(0, 2**31), min_size=1, max_size=25),
+    ),
+    e=st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**93)),
+)
+@example(p=7, m=[3, 1, 1], monic=True, a=[0, 1], e=7)  # x^7 by shifts
+@example(p=5, m=[4], monic=False, a=[0, 1], e=0)  # x^0 mod a constant is 1
+@settings(max_examples=300, deadline=None)
+def test_ppowmod_matches_sympy(p, m, monic, a, e):
+    """m of degree 0 to 9, a longer than m, zero or x; e = 0, 1 or up to p^3."""
+    m = [c % p for c in m]
+    m[-1] = 1 if monic else m[-1] or 2
+    a = _pnorm([c % p for c in a])
+    e %= p**3 + 1
+    want = gf_pow_mod(a[::-1], e, m[::-1], p, ZZ)[::-1]  # sympy is descending
+    assert _ppowmod(a, e, tuple(m), p) == tuple(want)
 
 
 @given(

@@ -80,6 +80,13 @@ def test_division_by_zero_raises():
         divmod(Polynomial(ctx, [1, 1]), Polynomial.zero(ctx))
 
 
+@pytest.mark.parametrize("e", [0, 5])
+@pytest.mark.parametrize("ctx", [PrimeFieldContext(7), ExtFieldContext(PrimeFieldContext(7), (1, 0, 1))])
+def test_pow_mod_by_zero_raises(ctx, e):
+    with pytest.raises(ZeroDivisor):
+        Polynomial.x(ctx).pow_mod(e, Polynomial.zero(ctx))
+
+
 def test_exact_div_rejects_non_divisors():
     ctx = PrimeFieldContext(7)
     with pytest.raises(ArithmeticError):
