@@ -11,8 +11,8 @@ equivalence by independent routes and sweeps them against each other:
 - jacobian: Mumford divisors and the Cantor group law
 - torsion: 2-torsion subgroups, torsion bases over splitting fields,
   Frobenius matrices in GL_2g(F_2), and the blow-up chain at infinity
-- reciprocity: good primes, the law sweep, splitting sets, inclusion
-  tests, and density statistics
+- reciprocity: good primes, the per-prime sweeps (the law, and Frobenius
+  on J_f[2]), splitting sets, inclusion tests, and density statistics
 - cli: the `splitlaw` command with JSON/CSV/text reports
 """
 
@@ -86,11 +86,13 @@ from .torsion import (
 from .reciprocity import (
     DEFAULT_SEED,
     DensityReport,
+    FrobeniusRecord,
     InclusionReport,
     PrimeRecord,
     ReciprocityReport,
     density_report,
     discriminant,
+    frobenius_sweep,
     good_primes,
     inclusion_check,
     resultant,

@@ -9,10 +9,11 @@ of that reproducibility.
 
 Exit codes: 0 on success (including a failing inclusion test, which is a
 valid answer), 1 on usage or input errors, 2 when a verify sweep finds a
-law violation, 3 when an internal check fails (errors.INTERNAL_ERRORS).
-The theorem says 2 cannot happen, so that exit code is a loud bug report.
-Exit 3 writes no report, only one stderr line, which names the prime and
-its derived seed when the failure was in the work at one prime.
+law violation, 3 when an internal check fails (errors.INTERNAL_ERRORS, or
+a ValueError in the work at one prime, which reads no user input). The
+theorem says 2 cannot happen, so that exit code is a loud bug report. Exit
+3 writes no report, only one stderr line, which names the prime and its
+derived seed when the failure was in the work at one prime.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from . import __version__, ff, jacobian, reciprocity, torsion
 from .errors import INTERNAL_ERRORS, PolynomialSyntaxError, SplitlawError
-from .poly import IntegerPolynomial, Polynomial, factorize
+from .poly import IntegerPolynomial, Polynomial, SplittingType, factorize
 from .reciprocity import DEFAULT_SEED
 
 SEED_ENV_VAR = "SPLITLAW_SEED"
@@ -180,6 +181,15 @@ def _splitting_json(st) -> list[list[int]]:
     return [[d, m] for d, m in st.pairs]
 
 
+def _record_json(r) -> dict:
+    """A record's fields by name, a splitting type as its pairs."""
+    out = {}
+    for field in dataclasses.fields(r):
+        value = getattr(r, field.name)
+        out[field.name] = _splitting_json(value) if isinstance(value, SplittingType) else value
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Subcommand payloads: each returns (payload, records_key, fieldnames, exit)
 # ---------------------------------------------------------------------------
@@ -238,22 +248,11 @@ def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
     return payload, "elements", ["u", "v"], EXIT_OK
 
 
-def _verify_record_json(r: reciprocity.PrimeRecord) -> dict:
-    return {
-        "p": r.p,
-        "splitting": _splitting_json(r.splitting),
-        "torsion_rank": r.torsion_rank,
-        "splits_completely": r.splits_completely,
-        "law_consistent": r.law_consistent,
-    }
-
-
 def _cmd_verify(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
     report = reciprocity.verify_law(
         f, config.bound, seed=config.seed, workers=config.workers
     )
-    records = [_verify_record_json(r) for r in report.records]
     payload = {
         "polynomial": _poly_json(f),
         "genus": report.genus,
@@ -263,10 +262,10 @@ def _cmd_verify(config: RunConfig, polys: list[IntegerPolynomial]):
         "spl": list(report.spl),
         "verdict": report.verdict,
         "density": _fraction_json(report.density),
-        "violations": [_verify_record_json(r) for r in report.violations()],
-        "records": records,
+        "violations": [_record_json(r) for r in report.violations()],
+        "records": [_record_json(r) for r in report.records],
     }
-    fields = ["p", "splitting", "torsion_rank", "splits_completely", "law_consistent"]
+    fields = [field.name for field in dataclasses.fields(reciprocity.PrimeRecord)]
     status = EXIT_OK if report.verdict else EXIT_VIOLATION
     return payload, "records", fields, status
 
@@ -316,43 +315,16 @@ def _cmd_include(config: RunConfig, polys: list[IntegerPolynomial]):
 
 def _cmd_frobenius(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
-    records = []
-    for p in reciprocity.good_primes(f, config.bound):
-        with reciprocity.at_prime(config.seed, p) as seed:
-            fbar = f.reduce_mod(p)
-            perm = torsion.frobenius_permutation(fbar, p, seed, cap=config.ext_cap)
-            M = torsion.permutation_matrix(perm)
-            # for squarefree f mod p, the degree of its splitting field is the
-            # order of Frobenius on the roots
-            order = torsion.permutation_order(perm)
-            records.append(
-                {
-                    "p": p,
-                    "splitting_degree": order,
-                    "matrix": M.to_lists(),
-                    "order": M.order(),
-                    "permutation": perm,
-                    "permutation_order": order,
-                    "is_identity": M.is_identity,
-                    "splits_completely": reciprocity.splits_completely(f, p),
-                }
-            )
+    records = reciprocity.frobenius_sweep(
+        f, config.bound, seed=config.seed, cap=config.ext_cap
+    )
     payload = {
         "polynomial": _poly_json(f),
         "bound": config.bound,
         "size": 2 * ((f.degree - 1) // 2),
-        "records": records,
+        "records": [_record_json(r) for r in records],
     }
-    fields = [
-        "p",
-        "splitting_degree",
-        "matrix",
-        "order",
-        "permutation",
-        "permutation_order",
-        "is_identity",
-        "splits_completely",
-    ]
+    fields = [field.name for field in dataclasses.fields(reciprocity.FrobeniusRecord)]
     return payload, "records", fields, EXIT_OK
 
 
@@ -496,11 +468,11 @@ def run(config: RunConfig) -> int:
     except SplitlawError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except INTERNAL_ERRORS as exc:
+    except (*INTERNAL_ERRORS, ValueError) as exc:
         notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        if isinstance(exc, ValueError) and not notes:  # not noted by at_prime: bad input
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"error: internal: {type(exc).__name__}: {exc}{notes}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -85,6 +85,6 @@ class PolynomialSyntaxError(SplitlawError):
         self.position = position
 
 
-# A failed internal check, as opposed to refused input: the CLI exits 3 on
-# these. BrokenProcessPool is a RuntimeError.
+# A failed internal check, as opposed to refused input: the CLI exits 3 on these
+# and on a ValueError in the work at one prime. BrokenProcessPool is a RuntimeError.
 INTERNAL_ERRORS = (RuntimeError, AssertionError, ArithmeticError)

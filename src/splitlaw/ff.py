@@ -506,12 +506,6 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.ctx, self.ctx.mul(self.value, self.ctx.inv(v)))
 
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(v, self.ctx.inv(self.value)))
-
     def __neg__(self):
         return FieldElement(self.ctx, self.ctx.neg(self.value))
 

@@ -227,12 +227,8 @@ class Polynomial:
         return Polynomial._raw(self.ctx, _neg_raw(self.ctx, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(self.ctx, other)
         other = self._check(other)
         return Polynomial._raw(self.ctx, _mul_raw(self.ctx, self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other):
         other = self._check(other)

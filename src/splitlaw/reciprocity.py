@@ -34,9 +34,12 @@ from .errors import (
     UnsupportedDegree,
     ZeroDiscriminant,
 )
+from .ff import DEFAULT_EXT_CAP
 from .jacobian import HyperellipticCurve
 from .poly import IntegerPolynomial, Polynomial, SplittingType
-from .torsion import two_torsion_points
+from .torsion import (
+    frobenius_permutation, permutation_matrix, permutation_order, two_torsion_points
+)
 
 DEFAULT_SEED = 271828  # published default; all randomness derives from it
 
@@ -222,9 +225,19 @@ def at_prime(seed, p: int):
     derived = f"{seed}:{p}"
     try:
         yield derived
-    except INTERNAL_ERRORS as exc:
+    except (*INTERNAL_ERRORS, ValueError) as exc:
         exc.add_note(f"at p = {p}, seed {derived}")
         raise
+
+
+def _sweep(task, primes: list[int], workers: int = 1) -> tuple:
+    """task(p) for each prime, in order; a pool no wider than the primes or CPUs."""
+    workers = min(workers, len(primes), os.cpu_count() or 1)
+    if workers <= 1:
+        return tuple(map(task, primes))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(primes) // (4 * workers))
+        return tuple(pool.map(task, primes, chunksize=chunk))
 
 
 def _prime_record(f: IntegerPolynomial, genus: int, seed, p: int) -> PrimeRecord:
@@ -253,20 +266,11 @@ def verify_law(
     """Check the law at every good prime <= bound.
 
     Records are listed by ascending prime regardless of worker scheduling,
-    so reports are reproducible for a fixed seed. The process pool is no
-    wider than the good-prime count or the CPU count; at width 1 the sweep
-    runs serially in this process.
+    so reports are reproducible for a fixed seed.
     """
     genus = _validate_law_input(f)
     good, bad = _split_primes(bound, f)
-    record = functools.partial(_prime_record, f, genus, seed)
-    workers = min(workers, len(good), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(good) // (4 * workers))
-            records = tuple(pool.map(record, good, chunksize=chunk))
-    else:
-        records = tuple(map(record, good))
+    records = _sweep(functools.partial(_prime_record, f, genus, seed), good, workers)
     spl = tuple(r.p for r in records if r.splits_completely)
     verdict = all(r.law_consistent for r in records)
     density = Fraction(len(spl), len(good)) if good else None
@@ -280,6 +284,41 @@ def verify_law(
         verdict=verdict,
         density=density,
     )
+
+
+@dataclass(frozen=True)
+class FrobeniusRecord:
+    """Frobenius at a single prime, on the roots of f and on J_f[2]."""
+
+    p: int
+    splitting_degree: int  # order of Frobenius on the roots, for squarefree f mod p
+    matrix: tuple[tuple[int, ...], ...]  # rows of the matrix in GL_2g(F_2)
+    order: int
+    permutation: tuple[int, ...]  # image index of each root, canonical order
+    permutation_order: int
+    is_identity: bool
+    splits_completely: bool
+
+
+def _frobenius_record(f: IntegerPolynomial, seed, cap: int, p: int) -> FrobeniusRecord:
+    """Frobenius at p as a permutation of the roots and as a matrix."""
+    with at_prime(seed, p) as derived:
+        perm = frobenius_permutation(f.reduce_mod(p), p, derived, cap=cap)
+        M = permutation_matrix(perm)
+        order = permutation_order(perm)
+        return FrobeniusRecord(
+            p=p, splitting_degree=order, matrix=tuple(map(tuple, M.to_lists())),
+            order=M.order(), permutation=tuple(perm), permutation_order=order,
+            is_identity=M.is_identity, splits_completely=splits_completely(f, p),
+        )
+
+
+def frobenius_sweep(
+    f: IntegerPolynomial, bound: int, *, seed=DEFAULT_SEED, cap: int = DEFAULT_EXT_CAP
+) -> tuple[FrobeniusRecord, ...]:
+    """Frobenius at every good prime <= bound, by ascending prime."""
+    record = functools.partial(_frobenius_record, f, seed, cap)
+    return _sweep(record, good_primes(f, bound))
 
 
 def spl_set(f: IntegerPolynomial, bound: int) -> list[int]:

@@ -343,12 +343,6 @@ class BivariatePolynomial:
     def evaluate(self, a: int, b: int) -> int:
         return sum(c * pow(a, i, self.p) * pow(b, j, self.p) for i, j, c in self.terms) % self.p
 
-    def __str__(self) -> str:
-        x, y = self.variables
-        parts = [f"{c}*{x}^{i}*{y}^{j}" for i, j, c in self.terms]
-        return " + ".join(parts) if parts else "0"
-
-
 @dataclass(frozen=True)
 class BlowupChart:
     """One substitution round of the blow-up at the point at infinity."""

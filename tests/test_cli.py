@@ -6,6 +6,7 @@ two formats can never drift apart silently.
 """
 
 import csv
+import dataclasses
 import hashlib
 import importlib.resources
 import io
@@ -22,7 +23,6 @@ from splitlaw import (
     factorize,
     reciprocity,
     sieve_primes,
-    torsion,
 )
 from splitlaw.cli import _cell, main, parse_polynomial
 
@@ -316,6 +316,38 @@ def test_csv_matches_json_records(capsys, schema):
                 assert cell == _cell(record[name]), (argv, name)
 
 
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        ("verify", "p,splitting,torsion_rank,splits_completely,law_consistent"),
+        (
+            "frobenius",
+            "p,splitting_degree,matrix,order,permutation,permutation_order,"
+            "is_identity,splits_completely",
+        ),
+    ],
+)
+def test_csv_of_an_empty_sweep_is_its_header(capsys, command, header):
+    status, out, _ = run_cli(capsys, command, "x^3-2", "--bound", "2", "--format", "csv")
+    assert status == 0
+    assert out == header + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, bound", [("x^3-2", 200), ("x^5-x-1", 200), ("3,1,-4,1,5,-9,1,1", 60)]
+)
+def test_frobenius_sweep_is_the_command_records(capsys, schema, text, bound):
+    f = parse_polynomial(text)
+    records = reciprocity.frobenius_sweep(f, bound, seed=11)
+    primes = [r.p for r in records]
+    assert primes == sorted(primes) == reciprocity.good_primes(f, bound)
+    assert all(r.is_identity == r.splits_completely for r in records)
+    doc = run_json(capsys, schema, "frobenius", text, "--bound", str(bound), "--seed", "11")
+    # JSON has no tuples; a round trip makes the record fields comparable
+    as_json = json.loads(json.dumps([dataclasses.asdict(r) for r in records]))
+    assert as_json == doc["payload"]["records"]
+
+
 def test_text_format_mentions_the_command(capsys):
     status, out, _ = run_cli(
         capsys, "density", "x^3-2", "--bound", "100", "--format", "text"
@@ -368,12 +400,13 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
 # the per-prime entry point each sweep calls, and how to read p off its arguments
 PER_PRIME_WORK = [
     ("verify", reciprocity, "two_torsion_points", lambda C, **kw: C.f.ctx.p),
-    ("frobenius", torsion, "frobenius_permutation", lambda f, p, *a, **kw: p),
+    ("frobenius", reciprocity, "frobenius_permutation", lambda f, p, *a, **kw: p),
 ]
 
 
 @pytest.mark.parametrize(
-    "error", [RuntimeError, BrokenProcessPool, AssertionError, ZeroDivisionError]
+    "error",
+    [RuntimeError, BrokenProcessPool, AssertionError, ZeroDivisionError, ValueError],
 )
 @pytest.mark.parametrize("command, module, name, prime_of", PER_PRIME_WORK)
 def test_internal_failure_exits_three(
@@ -394,6 +427,14 @@ def test_internal_failure_exits_three(
     assert status == 3
     assert err == f"error: internal: {error.__name__}: injected (at p = 7, seed 11:7)\n"
     assert out == "" and not target.exists()
+
+
+@pytest.mark.parametrize("command", ["factor", "torsion"])
+def test_a_given_bad_prime_is_refused_input(capsys, command):
+    # a ValueError exits 3 only from the work at one prime; -p 9 fails before it
+    status, out, err = run_cli(capsys, command, "x^3-2", "-p", "9")
+    assert status == 1
+    assert err == "error: 9 is not prime\n" and out == ""
 
 
 def test_argparse_misuse_exits_one(capsys):

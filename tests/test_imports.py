@@ -126,3 +126,13 @@ def test_random_streams_are_seeded_by_the_caller(path):
         ):
             fixed.append(f"line {call.lineno}")
     assert not fixed, f"{path.name}: random.Random not seeded by the caller at {', '.join(fixed)}"
+
+
+def test_only_reciprocity_sweeps_primes():
+    # one per-prime sweep: the process pool lives in reciprocity, and the
+    # command line renders records without enumerating primes itself
+    refs = {p.name: _referenced_names(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES}
+    pooled = sorted(name for name, names in refs.items() if "ProcessPoolExecutor" in names)
+    assert pooled == ["reciprocity.py"]
+    enumerated = refs["cli.py"] & {"good_primes", "sieve_primes", "_split_primes"}
+    assert not enumerated, f"cli.py enumerates primes through {sorted(enumerated)}"

@@ -295,6 +295,18 @@ def test_verify_law_pool_is_no_wider_than_primes_or_cpus(monkeypatch):
     assert asked == ([width] if width > 1 else [])
     assert report == verify_law(CUBE, 200)
 
+    # the driver itself keeps the prime order at every width
+    for primes in ([], [3], [5, 3, 7], list(range(3, 200, 2))):
+        for workers in (1, 2, 10**6):
+            asked.clear()
+            assert reciprocity._sweep(str, primes, workers) == tuple(map(str, primes))
+            width = min(workers, len(primes), os.cpu_count() or 1)
+            assert asked == ([width] if width > 1 else [])
+
+    asked.clear()
+    assert len(reciprocity.frobenius_sweep(CUBE, 200)) == len(report.records)
+    assert asked == []
+
 
 def test_verify_law_quintic():
     f = IntegerPolynomial([-1, -1, 0, 0, 0, 1])  # x^5 - x - 1, disc 2869 = 19*151
