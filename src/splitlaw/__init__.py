@@ -26,7 +26,6 @@ from .errors import (
     EvenDegree,
     ExtensionTooLarge,
     NonInvertible,
-    NonTerminating,
     NotARoot,
     NotIrreducible,
     NotMonic,

@@ -182,11 +182,15 @@ def _splitting_json(st) -> list[list[int]]:
 
 
 def _record_json(r) -> dict:
-    """A record's fields by name, a splitting type as its pairs."""
+    """A record's fields by name, a splitting type as its pairs, a fraction exactly."""
     out = {}
     for field in dataclasses.fields(r):
         value = getattr(r, field.name)
-        out[field.name] = _splitting_json(value) if isinstance(value, SplittingType) else value
+        if isinstance(value, SplittingType):
+            value = _splitting_json(value)
+        elif isinstance(value, Fraction):
+            value = _fraction_json(value)
+        out[field.name] = value
     return out
 
 
@@ -284,15 +288,7 @@ def _cmd_spl(config: RunConfig, polys: list[IntegerPolynomial]):
 
 def _cmd_density(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
-    rep = reciprocity.density_report(f, config.bound, config.group_order)
-    record = {
-        "bound": rep.bound,
-        "good_count": rep.good_count,
-        "split_count": rep.split_count,
-        "observed": _fraction_json(rep.observed),
-        "group_order": rep.group_order,
-        "deviation": _fraction_json(rep.deviation),
-    }
+    record = _record_json(reciprocity.density_report(f, config.bound, config.group_order))
     payload = {"polynomial": _poly_json(f), "records": [record]}
     return payload, "records", list(record), EXIT_OK
 

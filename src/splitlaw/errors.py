@@ -61,10 +61,6 @@ class NotARoot(SplitlawError):
     """Element is not a root of the curve's defining polynomial."""
 
 
-class NonTerminating(SplitlawError):
-    """Blow-up chain failed to make progress (implementation bug guard)."""
-
-
 class ZeroDiscriminant(SplitlawError):
     """Integer polynomial is not squarefree over the rationals."""
 

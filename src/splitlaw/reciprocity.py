@@ -317,6 +317,7 @@ def frobenius_sweep(
     f: IntegerPolynomial, bound: int, *, seed=DEFAULT_SEED, cap: int = DEFAULT_EXT_CAP
 ) -> tuple[FrobeniusRecord, ...]:
     """Frobenius at every good prime <= bound, by ascending prime."""
+    _validate_law_input(f)
     record = functools.partial(_frobenius_record, f, seed, cap)
     return _sweep(record, good_primes(f, bound))
 

@@ -378,6 +378,13 @@ def test_usage_errors_exit_one(capsys):
     status, _, err = run_cli(capsys, "frobenius", "x^4+1", "--bound", "50")
     assert status == 1 and "EvenDegree" in err
 
+    # refused before any prime is visited, so also when the range is empty
+    status, _, err = run_cli(capsys, "frobenius", "x^4+1", "--bound", "2")
+    assert status == 1 and "EvenDegree" in err
+
+    status, _, err = run_cli(capsys, "frobenius", "x^3-1", "--bound", "20")
+    assert status == 1 and "NotIrreducible" in err
+
     status, _, err = run_cli(capsys, "blowup", "--genus", "2", "--coeffs", "1,q", "-p", "7")
     assert status == 1
 

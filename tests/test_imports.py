@@ -1,5 +1,6 @@
 """Every module-level import and private helper in the package source is
-used, and every random stream is seeded by the caller.
+used, every error class is raised, and every random stream is seeded by the
+caller.
 
 No linter ships with the project, so this reads each module with the
 standard library's ast. `__init__.py` is skipped: it imports names only to
@@ -136,3 +137,30 @@ def test_only_reciprocity_sweeps_primes():
     assert pooled == ["reciprocity.py"]
     enumerated = refs["cli.py"] & {"good_primes", "sieve_primes", "_split_primes"}
     assert not enumerated, f"cli.py enumerates primes through {sorted(enumerated)}"
+
+
+def _raised_names(tree: ast.Module):
+    """Name of the exception in each `raise X` or `raise X(...)` statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_error_class_is_raised():
+    # an error class whose last raiser was deleted would linger as public API
+    raised = {
+        name
+        for path in SRC.glob("*.py")
+        for name in _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    unraised = sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name not in raised
+    )
+    assert not unraised, f"errors.py: never raised {', '.join(unraised)}"

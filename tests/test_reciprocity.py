@@ -319,16 +319,20 @@ def test_verify_law_quintic():
 
 
 def test_verify_law_rejects_bad_inputs():
-    with pytest.raises(EvenDegree):
-        verify_law(IntegerPolynomial([1, 0, 0, 0, 1]), 50)
-    with pytest.raises(NotMonic):
-        verify_law(IntegerPolynomial([1, 0, 0, 2]), 50)
-    with pytest.raises(NotIrreducible):
-        verify_law(IntegerPolynomial([-1, 0, 0, 1]), 50)  # root 1
-    with pytest.raises(NotIrreducible):
-        verify_law(IntegerPolynomial([-8, 0, 0, 1]), 50)  # root 2
-    with pytest.raises(NotIrreducible):
-        verify_law(IntegerPolynomial([0, 0, 0, 0, 0, 1]), 50)  # root 0
+    # both per-prime sweeps refuse the same inputs, whatever the bound
+    for sweep in (verify_law, reciprocity.frobenius_sweep):
+        with pytest.raises(EvenDegree):
+            sweep(IntegerPolynomial([1, 0, 0, 0, 1]), 50)
+        with pytest.raises(EvenDegree):
+            sweep(IntegerPolynomial([1, 0, 0, 0, 1]), 2)  # no good primes
+        with pytest.raises(NotMonic):
+            sweep(IntegerPolynomial([1, 0, 0, 2]), 50)
+        with pytest.raises(NotIrreducible):
+            sweep(IntegerPolynomial([-1, 0, 0, 1]), 50)  # root 1
+        with pytest.raises(NotIrreducible):
+            sweep(IntegerPolynomial([-8, 0, 0, 1]), 50)  # root 2
+        with pytest.raises(NotIrreducible):
+            sweep(IntegerPolynomial([0, 0, 0, 0, 0, 1]), 50)  # root 0
 
 
 def test_verify_law_with_no_good_primes_is_vacuous():
