@@ -61,8 +61,10 @@ def is_prime(n: int) -> bool:
 # normalized: no trailing zero), p passed explicitly. It backs F_{p^k} and
 # every prime-field Polynomial in poly.py; _pddf is its one distinct-degree
 # loop. _ppowmod powers left to right modulo a fixed m and reduces through a
-# table of x^i mod m, so "times x" is a shift. Algorithms: von zur Gathen &
-# Gerhard, Modern Computer Algebra, ch. 2-4, 9, 14.
+# table of x^i mod m, so "times x" is a shift; _qpowmod does the same in
+# F_{p^k}[x], on flat int lists with a second table for y^j mod the field's
+# modulus. Algorithms: von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 2-4, 9, 14.
 # ---------------------------------------------------------------------------
 
 
@@ -163,6 +165,75 @@ def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
         if bit == "1":
             r = times_x(r) if is_x else mulmod(r, b)
     return _pnorm(r)
+
+
+def _qpowmod(a: Sequence[tuple], e: int, m: Sequence[tuple], mod: Sequence[int], p: int) -> tuple:
+    """a^e mod nonzero m over F_q = F_p[y]/(mod), mod monic of degree k.
+
+    _ppowmod one level up: a and m hold k-tuples, and e = 0 gives one
+    whatever m is. An operand of degree < n = deg m is one flat int list
+    with x^i y^j at index i*(2k - 1) + j, so a product, y-degrees up to
+    2k - 2 included, is one delayed-reduction loop. With m scaled to monic,
+    the rows y^(k+t) mod mod and x^(n+t) mod m are built once; reduction
+    walks the slots from the top, folds y out of each and folds each slot
+    x^i, i >= n, into the lower ones, with one % p per coefficient.
+    """
+    k = len(mod) - 1
+    if not e:
+        return ((1,) + (0,) * (k - 1),)
+    n = len(m) - 1
+    if n < 1:
+        return ()
+    w = 2 * k - 1
+    pad = [0] * (w - k)
+    y_k = [-c % p for c in mod[:k]]
+    yfolds = []
+    row = [0] * (k - 1) + [1]
+    for j in range(k, w):  # row = y^j mod mod
+        row = [(u + row[-1] * c) % p for u, c in zip([0, *row[:-1]], y_k)]
+        yfolds.append((j, row))
+    xfolds: list[list] = []
+
+    def reduce(s: list) -> list:
+        """s of at most 2n - 1 slots, reduced mod m and mod to n slots in [0, p)."""
+        for lo in range(len(s) - w, -1, -w):  # a slot x^i, i >= n, folds only below n
+            for j, ys in yfolds:
+                c = s[lo + j] % p
+                if c:
+                    for t, y in enumerate(ys, lo):
+                        s[t] += c * y
+            s[lo + k : lo + w] = pad
+            for j in range(k) if lo >= n * w else ():
+                c = s[lo + j] % p
+                if c:
+                    for t, y in xfolds[lo // w - n]:
+                        s[t + j] += c * y
+        del s[n * w :]
+        return [c % p for c in s]
+
+    def mulmod(u: list, v: list) -> list:
+        s = [0] * ((2 * n - 1) * w)
+        vs = [(j, d) for j, d in enumerate(v) if d]
+        for i, c in enumerate(u):
+            if c:
+                for j, d in vs:
+                    s[i + j] += c * d
+        return reduce(s)
+
+    neg_inv = [-c % p for c in _pxgcd(_pnorm(m[-1]), mod, p)[1]]
+    row = mulmod([u for c in m[:n] for u in (*c, *pad)], neg_inv)  # x^n mod m
+    for _ in range(max(n - 1, 1)):
+        xfolds.append([(t, y) for t, y in enumerate(row) if y])
+        row = reduce([0] * w + row)
+    top = max(len(a) - n, 0)
+    b = r = [u for c in a[top:] for u in (*c, *pad)]
+    for c in reversed(a[:top]):  # Horner: b = c + x*b
+        b = r = reduce([*c, *pad, *b])
+    for bit in bin(e)[3:]:
+        r = mulmod(r, r)
+        if bit == "1":
+            r = mulmod(r, b)
+    return tuple(tuple(r[lo : lo + k]) for lo in range(0, len(_pnorm(r)), w))
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:

@@ -13,6 +13,7 @@ the reduced pairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -26,7 +27,9 @@ from .errors import (
     NotSquarefree,
     UnsupportedDegree,
 )
-from .poly import Polynomial, is_squarefree, poly_xgcd
+from .poly import Polynomial, is_squarefree
+from .poly import _add_raw, _divmod_raw, _exact_div_raw, _monic_raw, _mul_raw, _neg_raw
+from .poly import _sub_raw, _xgcd_raw
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -116,28 +119,25 @@ class MumfordDivisor:
 
 
 def add(D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """Cantor composition and reduction of divisor classes."""
+    """Cantor composition and reduction of divisor classes, on raw tuples."""
     curve = D1.curve
     if D2.curve != curve:
         raise CurveMismatch("divisors lie on different curves")
-    f, g = curve.f, curve.genus
-    u1, v1 = D1.u, D1.v
-    u2, v2 = D2.u, D2.v
+    ctx, f, g = curve.f.ctx, curve.f.coeffs, curve.genus
+    u1, v1, u2, v2 = D1.u.coeffs, D1.v.coeffs, D2.u.coeffs, D2.v.coeffs
+    mul, plus = functools.partial(_mul_raw, ctx), functools.partial(_add_raw, ctx)
 
-    d1, e1, e2 = poly_xgcd(u1, u2)
-    d, c1, c2 = poly_xgcd(d1, v1 + v2)
-    s1 = c1 * e1
-    s2 = c1 * e2
-    s3 = c2
+    d1, e1, e2 = _xgcd_raw(ctx, u1, u2)
+    d, c1, c2 = _xgcd_raw(ctx, d1, plus(v1, v2))
+    u = _exact_div_raw(ctx, mul(u1, u2), mul(d, d))
+    num = plus(mul(c1, plus(mul(e1, mul(u1, v2)), mul(e2, mul(u2, v1)))),
+               mul(c2, plus(mul(v1, v2), f)))
+    v = _divmod_raw(ctx, _exact_div_raw(ctx, num, d), u)[1]
 
-    u = (u1 * u2).exact_div(d * d)
-    num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v = num.exact_div(d) % u
-
-    while u.degree > g:
-        u = (f - v * v).exact_div(u).monic()
-        v = (-v) % u
-    return MumfordDivisor._make(curve, u, v)
+    while len(u) - 1 > g:
+        u = _monic_raw(ctx, _exact_div_raw(ctx, _sub_raw(ctx, f, mul(v, v)), u))
+        v = _divmod_raw(ctx, _neg_raw(ctx, v), u)[1]
+    return MumfordDivisor._make(curve, Polynomial._raw(ctx, u), Polynomial._raw(ctx, v))
 
 
 def neg(D: MumfordDivisor) -> MumfordDivisor:

@@ -4,14 +4,17 @@ Coefficients are stored as raw context values (see ff) in ascending order,
 normalized so the zero polynomial is the empty tuple and any other leading
 coefficient is nonzero. Arithmetic, gcds and modular powers work over F_p
 and F_{p^k} contexts alike; factorization, like root finding, needs F_p
-coefficients (see below). Over a prime field, multiplication, division,
-gcds and modular powers run on the int-tuple F_p[x] kernel in ff; the
-context-generic loops below serve coefficients in F_{p^k} only.
+coefficients (see below). Modular powers run on ff's fixed-modulus kernels
+(_ppowmod over F_p, _qpowmod over F_{p^k}); over a prime field,
+multiplication, division and gcds run on the int-tuple kernel too, and the
+context-generic loops below serve them over F_{p^k} only.
 
 Factorization follows the classic pipeline: squarefree decomposition, then
 distinct-degree splitting (ff._pddf), then randomized equal-degree
-splitting. The randomness is an explicit seed, and factors are returned in
-a canonical order, so results are reproducible.
+splitting. It shares its Cantor-Zassenhaus descent with root finding; both
+run it on raw coefficient tuples and wrap Polynomial only at the boundary.
+The randomness is an explicit seed, and factors are returned in a
+canonical order, so results are reproducible.
 
 Root finding takes f with F_p coefficients and a field F_q, q = p^k. It
 isolates one root of each F_p factor of gcd(x^q - x, f) by Cantor-Zassenhaus
@@ -136,18 +139,22 @@ def _xgcd_raw(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
     return r0, s0, t0
 
 
+def _exact_div_raw(ctx, a: tuple, b: tuple) -> tuple:
+    q, r = _divmod_raw(ctx, a, b)
+    if r:
+        raise ArithmeticError("division expected to be exact left a remainder")
+    return q
+
+
+def _deriv_raw(ctx, a: tuple) -> tuple:
+    mul, element = ctx.mul, ctx.element
+    return _norm([mul(a[i], element(i).value) for i in range(1, len(a))], ctx.zero)
+
+
 def _powmod_raw(ctx, a: tuple, e: int, m: tuple) -> tuple:
     if type(ctx) is ff.PrimeFieldContext:
         return ff._ppowmod(a, e, m, ctx.p)
-    result = (ctx.one,)
-    base = _divmod_raw(ctx, a, m)[1]
-    while e:
-        if e & 1:
-            result = _divmod_raw(ctx, _mul_raw(ctx, result, base), m)[1]
-        e >>= 1
-        if e:
-            base = _divmod_raw(ctx, _mul_raw(ctx, base, base), m)[1]
-    return result
+    return ff._qpowmod(a, e, m, ctx.modulus, ctx.base.p)
 
 
 class Polynomial:
@@ -185,10 +192,6 @@ class Polynomial:
     @classmethod
     def x(cls, ctx) -> "Polynomial":
         return cls._raw(ctx, (ctx.zero, ctx.one))
-
-    @classmethod
-    def constant(cls, ctx, c) -> "Polynomial":
-        return cls(ctx, [c])
 
     # -- structure ----------------------------------------------------------
     @property
@@ -240,24 +243,6 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("division expected to be exact left a remainder")
-        return q
-
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
         modulus = self._check(modulus)
         if modulus.is_zero:
@@ -270,12 +255,7 @@ class Polynomial:
         return Polynomial._raw(self.ctx, _monic_raw(self.ctx, self.coeffs))
 
     def derivative(self) -> "Polynomial":
-        ctx = self.ctx
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            out.append(ctx.mul(c, ctx.element(i).value))
-        return Polynomial._raw(ctx, _norm(out, ctx.zero))
+        return Polynomial._raw(self.ctx, _deriv_raw(self.ctx, self.coeffs))
 
     def evaluate_raw(self, x):
         ctx = self.ctx
@@ -462,75 +442,63 @@ class Factorization:
     unit: object  # raw leading coefficient of the input
     factors: tuple[tuple[Polynomial, int], ...]
 
-    def product(self, ctx) -> Polynomial:
-        acc = Polynomial.constant(ctx, ff.FieldElement(ctx, self.unit))
-        for poly, mult in self.factors:
-            acc = acc * poly**mult
-        return acc
-
     def splitting_type(self) -> SplittingType:
         return SplittingType(tuple(sorted((p.degree, m) for p, m in self.factors)))
 
 
-def _pth_root(f: Polynomial) -> Polynomial:
-    """p-th root of a polynomial in x^p over F_p, where c^p = c."""
-    return Polynomial._raw(f.ctx, f.coeffs[:: f.ctx.p])
-
-
-def _squarefree_parts(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic pairwise-coprime squarefree parts with multiplicities."""
-    p = f.ctx.char
-    out: list[tuple[Polynomial, int]] = []
-    d = f.derivative()
-    if d.is_zero:
-        return [(g, m * p) for g, m in _squarefree_parts(_pth_root(f))]
-    c = poly_gcd(f, d)
-    w = f.exact_div(c)
+def _squarefree_parts(ctx, f: tuple) -> list[tuple[tuple, int]]:
+    """Monic pairwise-coprime squarefree parts of monic f over F_p, with multiplicities."""
+    p = ctx.char
+    d = _deriv_raw(ctx, f)
+    if not d:  # f is a polynomial in x^p, and c^p = c in F_p
+        return [(g, m * p) for g, m in _squarefree_parts(ctx, f[::p])]
+    out: list[tuple[tuple, int]] = []
+    c = _gcd_raw(ctx, f, d)
+    w = _exact_div_raw(ctx, f, c)
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = w.exact_div(y)
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _gcd_raw(ctx, w, c)
+        z = _exact_div_raw(ctx, w, y)
+        if len(z) > 1:
             out.append((z, i))
         w = y
-        c = c.exact_div(y)
+        c = _exact_div_raw(ctx, c, y)
         i += 1
-    if c.degree > 0:
-        out.extend((g, m * p) for g, m in _squarefree_parts(_pth_root(c)))
+    if len(c) > 1:
+        out.extend((g, m * p) for g, m in _squarefree_parts(ctx, c[::p]))
     return out
 
 
-def _random_split(f: Polynomial, d: int, rng: random.Random) -> Polynomial:
-    """A proper monic factor of f, a product of degree-d irreducibles (q odd).
+def _random_split(ctx, f: tuple, d: int, rng: random.Random) -> tuple:
+    """A proper monic factor of monic f, a product of degree-d irreducibles (q odd).
 
     Cantor-Zassenhaus: a random t of degree below deg f either shares a
     factor with f or, with probability about 1/2, splits it through
     gcd(t^((q^d - 1)/2) - 1, f). Gives up after 128 draws.
     """
-    ctx = f.ctx
     exponent = (ctx.order**d - 1) // 2
-    one = Polynomial.one(ctx)
+    one = (ctx.one,)
+    n = len(f)
     for _ in range(128):
-        t = Polynomial._raw(
-            ctx, _norm([ctx.rand_raw(rng) for _ in range(f.degree)], ctx.zero)
-        )
-        if t.degree < 1:
+        t = _norm([ctx.rand_raw(rng) for _ in range(n - 1)], ctx.zero)
+        if len(t) < 2:
             continue
-        g = poly_gcd(t, f)
-        if 0 < g.degree < f.degree:
+        g = _gcd_raw(ctx, t, f)
+        if 1 < len(g) < n:
             return g  # lucky split by a shared factor
-        g = poly_gcd(t.pow_mod(exponent, f) - one, f)
-        if 0 < g.degree < f.degree:
+        g = _gcd_raw(ctx, _sub_raw(ctx, _powmod_raw(ctx, t, exponent, f), one), f)
+        if 1 < len(g) < n:
             return g
     raise RuntimeError("equal-degree splitting failed to converge")
 
 
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Split a product of degree-d irreducibles into its factors (q odd)."""
-    if f.degree == d:
+def _equal_degree_split(ctx, f: tuple, d: int, rng: random.Random) -> list[tuple]:
+    """Split a monic product of degree-d irreducibles into its factors (q odd)."""
+    if len(f) - 1 == d:
         return [f]
-    g = _random_split(f, d, rng)
-    return _equal_degree_split(g, d, rng) + _equal_degree_split(f.exact_div(g), d, rng)
+    g = _random_split(ctx, f, d, rng)
+    rest = _exact_div_raw(ctx, f, g)
+    return _equal_degree_split(ctx, g, d, rng) + _equal_degree_split(ctx, rest, d, rng)
 
 
 def factorize(f: Polynomial, seed) -> Factorization:
@@ -539,24 +507,28 @@ def factorize(f: Polynomial, seed) -> Factorization:
     Deterministic for a fixed seed; the result is verified by multiplying
     the factors back together.
     """
-    if not isinstance(f.ctx, ff.PrimeFieldContext):
+    ctx = f.ctx
+    if not isinstance(ctx, ff.PrimeFieldContext):
         raise ValueError("factorize needs coefficients in a prime field")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     unit = f.coeffs[-1]
-    fm = f.monic()
+    fm = _monic_raw(ctx, f.coeffs)
     rng = random.Random(seed)
-    factors: list[tuple[Polynomial, int]] = []
-    if fm.degree > 0:
-        for part, mult in _squarefree_parts(fm):
-            for prod, d in ff._pddf(part.coeffs, f.ctx.p):
-                for irr in _equal_degree_split(Polynomial._raw(f.ctx, prod), d, rng):
-                    factors.append((irr, mult))
-    factors.sort(key=lambda fm_: fm_[0].key())
-    result = Factorization(unit=unit, factors=tuple(factors))
-    if result.product(f.ctx) != f:
+    factors: list[tuple[tuple, int]] = []
+    if len(fm) > 1:
+        for part, mult in _squarefree_parts(ctx, fm):
+            for prod, d in ff._pddf(part, ctx.p):
+                factors.extend((irr, mult) for irr in _equal_degree_split(ctx, prod, d, rng))
+    factors.sort(key=lambda fm_: (len(fm_[0]), fm_[0]))
+    product = (unit,)
+    for irr, mult in factors:
+        for _ in range(mult):
+            product = _mul_raw(ctx, product, irr)
+    if product != f.coeffs:
         raise AssertionError("factorization failed verification by multiplication")
-    return result
+    wrapped = tuple((Polynomial._raw(ctx, irr), mult) for irr, mult in factors)
+    return Factorization(unit=unit, factors=wrapped)
 
 
 def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]:
@@ -578,15 +550,15 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]
         raise ValueError("f must have coefficients in the prime field of ctx")
     f = f.monic()
     x = Polynomial.x(base)
-    h = poly_gcd(x.pow_mod(ctx.order, f) - x, f)
+    h = poly_gcd(x.pow_mod(ctx.order, f) - x, f).coeffs
     rng = random.Random(seed)
     roots = []
-    while h.degree > 0:
-        g = embed_poly(h, ctx) if ext else h
-        while g.degree > 1:
-            part = _random_split(g, 1, rng)
-            g = part if 2 * part.degree <= g.degree else g.exact_div(part)
-        r = ctx.neg(g.coeffs[0])
+    while len(h) > 1:
+        g = tuple(ctx.embed(c) for c in h) if ext else h
+        while len(g) > 2:
+            part = _random_split(ctx, g, 1, rng)
+            g = part if 2 * len(part) <= len(g) + 1 else _exact_div_raw(ctx, g, part)
+        r = ctx.neg(g[0])
         orbit = [r]
         e = ctx.frobenius(r)
         while e != r:
@@ -597,7 +569,7 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]
             m = _mul_raw(ctx, m, (ctx.neg(e), ctx.one))
         if ext:  # m has F_p coefficients, embedded as (c, 0, ..., 0)
             m = tuple(c[0] for c in m)
-        h = h.exact_div(Polynomial._raw(base, m))
+        h = _exact_div_raw(base, h, m)
         roots.extend(ff.FieldElement(ctx, e) for e in orbit)
     roots.sort(key=lambda e: e.key())
     return roots

@@ -32,6 +32,7 @@ from .jacobian import HyperellipticCurve, MumfordDivisor, add
 from .poly import (
     Factorization,
     Polynomial,
+    _mul_raw,
     embed_poly,
     factorize,
     roots_in,
@@ -75,18 +76,19 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
     fact = factorize(f, seed)
     if any(m > 1 for _, m in fact.factors):
         raise NotSquarefree("curve polynomial has a repeated factor")
-    parts = [p for p, _ in fact.factors]
+    ctx = f.ctx
+    parts = [p.coeffs for p, _ in fact.factors]
     n = len(parts)
     elements = []
     for mask in range(1 << n):
-        total = sum(parts[i].degree for i in range(n) if mask >> i & 1)
+        total = sum(len(parts[i]) - 1 for i in range(n) if mask >> i & 1)
         if total > g:
             continue
-        u = Polynomial.one(f.ctx)
+        u = (ctx.one,)
         for i in range(n):
             if mask >> i & 1:
-                u = u * parts[i]
-        D = MumfordDivisor._make(C, u, Polynomial.zero(f.ctx))
+                u = _mul_raw(ctx, u, parts[i])
+        D = MumfordDivisor._make(C, Polynomial._raw(ctx, u), Polynomial.zero(ctx))
         if not add(D, D).is_identity:
             raise RuntimeError(f"candidate {D!r} failed the doubling check")
         elements.append(D)
@@ -339,11 +341,6 @@ class BivariatePolynomial:
         )
         return cls(variables=tuple(variables), terms=terms, p=p)
 
-    def as_dict(self) -> dict:
-        return {(i, j): c for i, j, c in self.terms}
-
-    def evaluate(self, a: int, b: int) -> int:
-        return sum(c * pow(a, i, self.p) * pow(b, j, self.p) for i, j, c in self.terms) % self.p
 
 @dataclass(frozen=True)
 class BlowupChart:

@@ -239,7 +239,7 @@ def test_criterion_7_blowup_chain_termination():
             assert exponents == list(range(2 * g - 1, 2, -2)), (g, coeffs, p)
             assert all(b - a == -2 for a, b in zip(exponents, exponents[1:]))
             assert charts[-1].terminal and exponents[-1] == 3
-            d = charts[-1].equation.as_dict()
+            d = {(i, j): c for i, j, c in charts[-1].equation.terms}
             assert d[(2, 0)] == 1  # S(0) = 1
             assert d[(0, 3)] == p - 1  # the -u^3 branch of the cusp
             assert all(i == 2 or (i, j) == (0, 3) for (i, j) in d)

@@ -6,6 +6,7 @@ of order k whose fixed field is the prime field) that everything else
 quietly relies on.
 """
 
+import functools
 import random
 
 import pytest
@@ -28,7 +29,8 @@ from splitlaw import (
     is_prime,
     is_squarefree,
 )
-from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod
+from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod, _qpowmod
+from splitlaw.poly import _divmod_raw, _mul_raw, _norm
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 97, 101]
 
@@ -262,6 +264,68 @@ def test_ppowmod_matches_sympy(p, m, monic, a, e):
     e %= p**3 + 1
     want = gf_pow_mod(a[::-1], e, m[::-1], p, ZZ)[::-1]  # sympy is descending
     assert _ppowmod(a, e, tuple(m), p) == tuple(want)
+
+
+_cached_ext = functools.lru_cache(maxsize=None)(ext_new)
+
+
+def powmod_by_divmod(ctx, a, e, m):
+    """a^e mod m by right-to-left squaring with the generic product and division."""
+    r, b = (ctx.one,), _divmod_raw(ctx, a, m)[1]
+    while e:
+        if e & 1:
+            r = _divmod_raw(ctx, _mul_raw(ctx, r, b), m)[1]
+        b = _divmod_raw(ctx, _mul_raw(ctx, b, b), m)[1]
+        e >>= 1
+    return r
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 65521, 2**31 - 1]),
+    k=st.integers(1, 7),
+    n=st.integers(1, 8),
+    monic=st.booleans(),
+    is_x=st.booleans(),
+    length=st.integers(0, 20),
+    e=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 2**64 - 1)),
+    seed=st.integers(0, 2**32),
+)
+@example(p=7, k=3, n=4, monic=True, is_x=True, length=0, e=7**3, seed=0)  # x^e by shifts
+@settings(max_examples=120, deadline=None)
+def test_qpowmod_matches_mul_and_divmod(p, k, n, monic, is_x, length, e, seed):
+    """F_{p^k}, k = 1 a degree-1 extension; deg m 1 to 8; a = x or up to 20 terms."""
+    ctx = _cached_ext(p, k, seed=k)
+    rng = random.Random(seed)
+    m = [ctx.rand_raw(rng) for _ in range(n)]
+    lead = ctx.rand_raw(rng)
+    m.append(ctx.one if monic else lead if any(lead) else ctx.neg(ctx.one))
+    if is_x:
+        a = (ctx.zero, ctx.one)
+    else:
+        a = _norm([ctx.rand_raw(rng) for _ in range(length)], ctx.zero)
+    want = powmod_by_divmod(ctx, a, e, tuple(m))
+    assert _qpowmod(a, e, tuple(m), ctx.modulus, p) == want
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 2), (7, 3), (65521, 4), (2**31 - 1, 7)])
+def test_qpowmod_fixed_cases(p, k):
+    ctx = ext_new(p, k, seed=0)
+    rng = random.Random(p * k)
+    one = (ctx.one,)
+    a = tuple(ctx.rand_raw(rng) for _ in range(6)) + (ctx.one,)
+    c = ctx.element(rng.randrange(1, p)).value
+    r = ctx.rand_raw(rng)
+    # e = 0 gives one whatever m is, a constant m included
+    assert _qpowmod(a, 0, (ctx.zero, c), ctx.modulus, p) == one
+    assert _qpowmod(a, 0, (c,), ctx.modulus, p) == one
+    # modulo a constant every power of positive degree is zero
+    assert _qpowmod(a, 5, (c,), ctx.modulus, p) == ()
+    # n = 1: modulo c*(x - r), a^e is a(r)^e
+    m = (ctx.mul(c, ctx.neg(r)), c)
+    a_at_r = Polynomial._raw(ctx, a).evaluate_raw(r)
+    for e in (1, 2, 3, p, rng.getrandbits(64)):
+        want = ctx.pow_(a_at_r, e)
+        assert _qpowmod(a, e, m, ctx.modulus, p) == ((want,) if any(want) else ())
 
 
 @given(
