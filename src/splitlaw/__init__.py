@@ -9,8 +9,8 @@ equivalence by independent routes and sweeps them against each other:
 - ff: exact arithmetic in F_p and F_{p^k}, Frobenius included
 - poly: univariate polynomials over those fields, full factorization over F_p
 - jacobian: Mumford divisors and the Cantor group law
-- torsion: 2-torsion subgroups, torsion bases over splitting fields,
-  Frobenius matrices in GL_2g(F_2), and the blow-up chain at infinity
+- torsion: 2-torsion subgroups, Frobenius matrices in GL_2g(F_2), and the
+  blow-up chain at infinity
 - reciprocity: good primes, the per-prime sweeps (the law, and Frobenius
   on J_f[2]), splitting sets, inclusion tests, and density statistics
 - cli: the `splitlaw` command with JSON/CSV/text reports
@@ -20,17 +20,13 @@ __version__ = "0.1.0"
 
 from .errors import (
     BadCharacteristic,
-    CapExceeded,
     CurveMismatch,
     EmptyRange,
     EvenDegree,
     ExtensionTooLarge,
     NonInvertible,
-    NotARoot,
     NotIrreducible,
     NotMonic,
-    NotOnJacobian,
-    NotReduced,
     NotSquarefree,
     PolynomialSyntaxError,
     SplitlawError,
@@ -42,7 +38,6 @@ from .errors import (
 from .ff import (
     DEFAULT_EXT_CAP,
     ExtFieldContext,
-    FieldElement,
     PrimeFieldContext,
     ext_new,
     is_prime,
@@ -52,34 +47,25 @@ from .poly import (
     IntegerPolynomial,
     Polynomial,
     SplittingType,
-    embed_poly,
     factorize,
     is_squarefree,
     poly_gcd,
-    poly_xgcd,
     roots_in,
 )
 from .jacobian import (
-    DEFAULT_ENUM_CAP,
     HyperellipticCurve,
     MumfordDivisor,
     add,
-    enumerate_jacobian,
-    neg,
-    scalar_mul,
 )
 from .torsion import (
     BinaryMatrix,
     BivariatePolynomial,
     BlowupChart,
-    TorsionBasis,
     TwoTorsionSubgroup,
     blowup_chain,
-    embed_root,
     frobenius_permutation,
     permutation_matrix,
     permutation_order,
-    torsion_basis,
     two_torsion_points,
 )
 from .reciprocity import (

@@ -384,7 +384,9 @@ def _envelope(config: RunConfig, payload: dict, exit_status: int) -> dict:
     # dropping them keeps equal-config reports byte-identical across widths
     del echo["workers"]
     del echo["output"]
-    echo["enum_cap"] = jacobian.DEFAULT_ENUM_CAP
+    # no code reads enum_cap; the fixed value stays only so that report bytes
+    # do not change
+    echo["enum_cap"] = 10**6
     return {
         "tool": "splitlaw",
         "version": __version__,

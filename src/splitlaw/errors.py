@@ -41,24 +41,8 @@ class NotMonic(SplitlawError):
     """Operation requires a monic polynomial."""
 
 
-class NotOnJacobian(SplitlawError):
-    """Pair (u, v) fails the membership condition u | v^2 - f."""
-
-
-class NotReduced(SplitlawError):
-    """Pair (u, v) violates deg v < deg u <= genus."""
-
-
 class CurveMismatch(SplitlawError):
     """Divisors from different curves were combined."""
-
-
-class CapExceeded(SplitlawError):
-    """Exhaustive enumeration would exceed the configured cap."""
-
-
-class NotARoot(SplitlawError):
-    """Element is not a root of the curve's defining polynomial."""
 
 
 class ZeroDiscriminant(SplitlawError):

@@ -6,16 +6,14 @@ Raw element encodings:
   - extension of degree k: tuple of k ints in [0, p), the coefficients of
     the residue class modulo a monic irreducible polynomial, ascending
 
-Contexts implement arithmetic on raw values and are immutable after
-construction, so they can be shared freely. ``FieldElement`` wraps a
-(context, raw) pair with the usual operators for callers that prefer
-objects. The only source of randomness is the explicit seed passed to
-``ext_new``.
+A field element is its raw value. Contexts implement arithmetic on raw
+values, convert ints and int sequences to them (``element``), and are
+immutable after construction, so they can be shared freely. The only
+source of randomness is the explicit seed passed to ``ext_new``.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterator, Sequence, Union
 
@@ -296,9 +294,6 @@ def _pirreducible(m: Sequence[int], p: int) -> bool:
 # Contexts
 # ---------------------------------------------------------------------------
 
-Raw = Union[int, tuple]
-
-
 class PrimeFieldContext:
     """The field F_p for an odd prime p < 2**31. Raw elements are ints."""
 
@@ -322,10 +317,6 @@ class PrimeFieldContext:
     def order(self) -> int:
         return self.p
 
-    @property
-    def degree(self) -> int:
-        return 1
-
     zero = 0
     one = 1
 
@@ -347,24 +338,12 @@ class PrimeFieldContext:
             raise NonInvertible(f"0 has no inverse in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def pow_(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
     def frobenius(self, a: int) -> int:
         return a % self.p
 
     # -- conversions --------------------------------------------------------
-    def element(self, v) -> "FieldElement":
-        if isinstance(v, FieldElement):
-            if v.ctx != self:
-                raise ValueError("element belongs to a different context")
-            return v
-        return FieldElement(self, int(v) % self.p)
-
-    def iter_raw(self) -> Iterator[int]:
-        return iter(range(self.p))
+    def element(self, v: int) -> int:
+        return int(v) % self.p
 
     def rand_raw(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
@@ -412,10 +391,6 @@ class ExtFieldContext:
         return self.base.p ** self.k
 
     @property
-    def degree(self) -> int:
-        return self.k
-
-    @property
     def zero(self) -> tuple:
         return (0,) * self.k
 
@@ -452,8 +427,6 @@ class ExtFieldContext:
         return self._pad(s)
 
     def pow_(self, a: tuple, e: int) -> tuple:
-        if e < 0:
-            return self.pow_(self.inv(a), -e)
         return self._pad(_ppowmod(a, e, self.modulus, self.base.p))
 
     def frobenius(self, a: tuple) -> tuple:
@@ -463,20 +436,14 @@ class ExtFieldContext:
     def embed(self, c: int) -> tuple:
         return (c % self.base.p,) + (0,) * (self.k - 1)
 
-    def element(self, v) -> "FieldElement":
-        if isinstance(v, FieldElement):
-            if v.ctx != self:
-                raise ValueError("element belongs to a different context")
-            return v
+    def element(self, v: Union[int, Sequence[int]]) -> tuple:
+        """An int embedded from F_p, or a coefficient vector of length <= k."""
         if isinstance(v, int):
-            return FieldElement(self, self.embed(v))
+            return self.embed(v)
         vec = tuple(int(c) % self.base.p for c in v)
         if len(vec) > self.k:
             raise ValueError(f"coefficient vector longer than degree {self.k}")
-        return FieldElement(self, self._pad(vec))
-
-    def iter_raw(self) -> Iterator[tuple]:
-        return itertools.product(range(self.base.p), repeat=self.k)
+        return self._pad(vec)
 
     def rand_raw(self, rng: random.Random) -> tuple:
         p = self.base.p
@@ -523,87 +490,3 @@ def ext_new(p: int, k: int, seed, *, cap: int = DEFAULT_EXT_CAP) -> ExtFieldCont
             return ExtFieldContext(base, cand)
         except ValueError:
             continue
-
-
-class FieldElement:
-    """A field value tagged with its context. Canonical form is unique."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: FieldContext, value: Raw):
-        self.ctx = ctx
-        self.value = value
-
-    def _coerce(self, other) -> Raw:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("cannot mix elements of different field contexts")
-            return other.value
-        if isinstance(other, int):
-            return self.ctx.element(other).value
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.value, self.ctx.inv(v)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow_(self.value, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, int):
-            return self.ctx.element(other).value == self.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.value))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value!r})"
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == self.ctx.zero
-
-    def key(self):
-        """Canonical sort key: residue for F_p, coefficient tuple for F_{p^k}."""
-        return self.value
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.value))
-

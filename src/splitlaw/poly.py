@@ -148,7 +148,7 @@ def _exact_div_raw(ctx, a: tuple, b: tuple) -> tuple:
 
 def _deriv_raw(ctx, a: tuple) -> tuple:
     mul, element = ctx.mul, ctx.element
-    return _norm([mul(a[i], element(i).value) for i in range(1, len(a))], ctx.zero)
+    return _norm([mul(a[i], element(i)) for i in range(1, len(a))], ctx.zero)
 
 
 def _powmod_raw(ctx, a: tuple, e: int, m: tuple) -> tuple:
@@ -163,16 +163,8 @@ class Polynomial:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: ff.FieldContext, coeffs: Iterable = ()):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, ff.FieldElement):
-                if c.ctx != ctx:
-                    raise ValueError("coefficient from a different context")
-                vals.append(c.value)
-            else:
-                vals.append(ctx.element(c).value)
         self.ctx = ctx
-        self.coeffs = _norm(vals, ctx.zero)
+        self.coeffs = _norm([ctx.element(c) for c in coeffs], ctx.zero)
 
     @classmethod
     def _raw(cls, ctx, coeffs: tuple) -> "Polynomial":
@@ -184,10 +176,6 @@ class Polynomial:
     @classmethod
     def zero(cls, ctx) -> "Polynomial":
         return cls._raw(ctx, ())
-
-    @classmethod
-    def one(cls, ctx) -> "Polynomial":
-        return cls._raw(ctx, (ctx.one,))
 
     @classmethod
     def x(cls, ctx) -> "Polynomial":
@@ -218,20 +206,9 @@ class Polynomial:
             raise ValueError("polynomials from different contexts")
         return other
 
-    def __add__(self, other):
-        other = self._check(other)
-        return Polynomial._raw(self.ctx, _add_raw(self.ctx, self.coeffs, other.coeffs))
-
     def __sub__(self, other):
         other = self._check(other)
         return Polynomial._raw(self.ctx, _sub_raw(self.ctx, self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return Polynomial._raw(self.ctx, _neg_raw(self.ctx, self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return Polynomial._raw(self.ctx, _mul_raw(self.ctx, self.coeffs, other.coeffs))
 
     def __divmod__(self, other):
         other = self._check(other)
@@ -256,20 +233,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial._raw(self.ctx, _deriv_raw(self.ctx, self.coeffs))
-
-    def evaluate_raw(self, x):
-        ctx = self.ctx
-        acc = ctx.zero
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return acc
-
-    def __call__(self, x):
-        if isinstance(x, ff.FieldElement):
-            if x.ctx != self.ctx:
-                raise ValueError("argument from a different context")
-            return ff.FieldElement(self.ctx, self.evaluate_raw(x.value))
-        return self.evaluate_raw(self.ctx.element(x).value)
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -300,13 +263,6 @@ class Polynomial:
             else:
                 parts.append(f"x^{i}" if c == self.ctx.one else f"{c}*x^{i}")
         return " + ".join(parts)
-
-
-def embed_poly(f: Polynomial, ext: ff.ExtFieldContext) -> Polynomial:
-    """Lift a prime-field polynomial into an extension of the same base."""
-    if f.ctx != ext.base:
-        raise ValueError("f must have coefficients in the prime field of ext")
-    return Polynomial._raw(ext, tuple(ext.embed(c) for c in f.coeffs))
 
 
 class IntegerPolynomial:
@@ -390,16 +346,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero and b.is_zero:
         raise UndefinedGcd("gcd(0, 0) is undefined")
     return Polynomial._raw(a.ctx, _gcd_raw(a.ctx, a.coeffs, b.coeffs))
-
-
-def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(g, s, t) with monic g = s*a + t*b."""
-    a._check(b)
-    if a.is_zero and b.is_zero:
-        raise UndefinedGcd("gcd(0, 0) is undefined")
-    g, s, t = _xgcd_raw(a.ctx, a.coeffs, b.coeffs)
-    raw = Polynomial._raw
-    return raw(a.ctx, g), raw(a.ctx, s), raw(a.ctx, t)
 
 
 def is_squarefree(f: Polynomial) -> bool:
@@ -531,7 +477,7 @@ def factorize(f: Polynomial, seed) -> Factorization:
     return Factorization(unit=unit, factors=wrapped)
 
 
-def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]:
+def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list:
     """All distinct roots in ctx of f over the prime field F_p beneath ctx.
 
     h = gcd(x^q - x, f) is formed over F_p. Then, until h = 1, one root r of
@@ -539,8 +485,8 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]
     part of a split, and the rest of the roots of r's minimal polynomial m
     are its Frobenius orbit r, r^p, r^(p^2), ...; m is divided out of h.
     The descent draws from random.Random(seed), but the roots are returned
-    in canonical order, so the result does not depend on the seed. f must
-    have F_p coefficients.
+    as raw values in ascending order, so the result does not depend on the
+    seed. f must have F_p coefficients.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every element as a root")
@@ -570,6 +516,6 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list[ff.FieldElement]
         if ext:  # m has F_p coefficients, embedded as (c, 0, ..., 0)
             m = tuple(c[0] for c in m)
         h = _exact_div_raw(base, h, m)
-        roots.extend(ff.FieldElement(ctx, e) for e in orbit)
-    roots.sort(key=lambda e: e.key())
+        roots.extend(orbit)
+    roots.sort()
     return roots

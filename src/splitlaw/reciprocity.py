@@ -288,7 +288,13 @@ def verify_law(
 
 @dataclass(frozen=True)
 class FrobeniusRecord:
-    """Frobenius at a single prime, on the roots of f and on J_f[2]."""
+    """Frobenius at a single prime, on the roots of f and on J_f[2].
+
+    The matrix is derived from the permutation in the embedded-root basis
+    v_i = (x - r_i, 0), i <= 2g, by the relation v_{2g+1} = v_1 + ... + v_2g;
+    no divisor is built. tests/oracles.py builds that basis by Cantor
+    addition and checks it.
+    """
 
     p: int
     splitting_degree: int  # order of Frobenius on the roots, for squarefree f mod p
@@ -387,6 +393,8 @@ def density_report(
     With the Galois group order G supplied, also reports the deviation from
     the expected density 1/G.
     """
+    if group_order is not None and group_order < 1:
+        raise ValueError("group order must be positive")
     _validate_law_input(f)
     good = good_primes(f, bound)
     if not good:
@@ -395,8 +403,6 @@ def density_report(
     observed = Fraction(len(split), len(good))
     deviation = None
     if group_order is not None:
-        if group_order < 1:
-            raise ValueError("group order must be positive")
         deviation = abs(observed - Fraction(1, group_order))
     return DensityReport(
         bound=bound,

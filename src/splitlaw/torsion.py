@@ -7,12 +7,14 @@ to at most g give exactly one representative per complement pair (the total
 degree 2g+1 is odd, so exactly one of S, S^c stays within g), which yields
 the 2^(n-1) count for n distinct factors.
 
-Embedding all 2g+1 roots over the splitting field gives a basis v_1..v_2g
-of the full 2-torsion with the relation v_{2g+1} = v_1 + ... + v_2g; the
-Frobenius permutation of roots then turns into an invertible 2g x 2g matrix
-over F_2. The curve's singularity at infinity resolves through g - 1 chart
-substitutions ending in a cusp normal form; that chain is fixed by g, so it
-is written down directly rather than computed.
+Over the splitting field, the classes v_i = (x - r_i, 0) of the 2g+1 roots
+span the full 2-torsion with the one relation v_{2g+1} = v_1 + ... + v_2g,
+so v_1..v_2g is a basis; the Frobenius permutation of roots then turns into
+an invertible 2g x 2g matrix over F_2. The matrix is derived from the
+permutation alone; tests/oracles.py builds the basis and checks it. The
+curve's singularity at infinity resolves through g - 1 chart substitutions
+ending in a cusp normal form; that chain is fixed by g, so it is written
+down directly rather than computed.
 """
 
 from __future__ import annotations
@@ -21,22 +23,9 @@ import math
 from dataclasses import dataclass
 
 from . import ff
-from .errors import (
-    BadCharacteristic,
-    EvenDegree,
-    NotARoot,
-    NotSquarefree,
-    UnsupportedDegree,
-)
+from .errors import BadCharacteristic, EvenDegree, NotSquarefree, UnsupportedDegree
 from .jacobian import HyperellipticCurve, MumfordDivisor, add
-from .poly import (
-    Factorization,
-    Polynomial,
-    _mul_raw,
-    embed_poly,
-    factorize,
-    roots_in,
-)
+from .poly import Factorization, Polynomial, _mul_raw, factorize, roots_in
 
 
 @dataclass(frozen=True)
@@ -50,16 +39,6 @@ class TwoTorsionSubgroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def embed_root(e: ff.FieldElement, C: HyperellipticCurve) -> MumfordDivisor:
-    """The class of (x - e, 0) for a root e of f; an order-2 element."""
-    if e.ctx != C.f.ctx:
-        raise NotARoot("element lives in a different field than the curve")
-    if C.f(e).value != C.f.ctx.zero:
-        raise NotARoot(f"{e.value!r} is not a root of the curve polynomial")
-    u = Polynomial._raw(C.f.ctx, (C.f.ctx.neg(e.value), C.f.ctx.one))
-    return MumfordDivisor._make(C, u, Polynomial.zero(C.f.ctx))
 
 
 def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
@@ -88,7 +67,7 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
         for i in range(n):
             if mask >> i & 1:
                 u = _mul_raw(ctx, u, parts[i])
-        D = MumfordDivisor._make(C, Polynomial._raw(ctx, u), Polynomial.zero(ctx))
+        D = MumfordDivisor(C, Polynomial._raw(ctx, u), Polynomial.zero(ctx))
         if not add(D, D).is_identity:
             raise RuntimeError(f"candidate {D!r} failed the doubling check")
         elements.append(D)
@@ -103,22 +82,8 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
     )
 
 
-@dataclass(frozen=True)
-class TorsionBasis:
-    """Roots of f in its splitting field and the basis they generate."""
-
-    ctx: ff.FieldContext  # splitting field of f mod p
-    curve: HyperellipticCurve  # base-changed curve over ctx
-    roots: tuple[ff.FieldElement, ...]  # all 2g+1 roots, canonical order
-    basis: tuple[MumfordDivisor, ...]  # embedded roots 1..2g
-
-    @property
-    def genus(self) -> int:
-        return self.curve.genus
-
-
 def _splitting_data(f: Polynomial, p: int, seed, cap: int):
-    """Splitting field of f mod p and the roots of f in it, canonical order.
+    """Splitting field of f mod p and the raw roots of f in it, ascending.
 
     The roots are found one irreducible factor of f mod p at a time.
     """
@@ -129,49 +94,12 @@ def _splitting_data(f: Polynomial, p: int, seed, cap: int):
         raise NotSquarefree(f"polynomial is not squarefree mod {p}")
     k = math.lcm(*(part.degree for part, _ in fact.factors))
     ctx = f.ctx if k == 1 else ff.ext_new(p, k, seed, cap=cap)
-    roots = tuple(
-        sorted(
-            (e for part, _ in fact.factors for e in roots_in(part, ctx, seed)),
-            key=ff.FieldElement.key,
-        )
-    )
+    roots = tuple(sorted(e for part, _ in fact.factors for e in roots_in(part, ctx, seed)))
     if len(roots) != f.degree:
         raise RuntimeError(
             f"found {len(roots)} roots in F_{p}^{k}, expected {f.degree}"
         )
     return ctx, roots
-
-
-def torsion_basis(
-    f: Polynomial, p: int, seed, *, cap: int = ff.DEFAULT_EXT_CAP
-) -> TorsionBasis:
-    """Basis v_1..v_2g of the 2-torsion over the splitting field of f mod p.
-
-    Verifies on construction: every v_i has order exactly 2, all nonempty
-    subset sums of the basis are nonzero (exhaustive for g <= 3), and the
-    sum of all 2g+1 embedded roots is the identity.
-    """
-    ctx, roots = _splitting_data(f, p, seed, cap)
-    curve = HyperellipticCurve(f if ctx is f.ctx else embed_poly(f, ctx))
-    g = curve.genus
-    basis = tuple(embed_root(e, curve) for e in roots[: 2 * g])
-    for D in basis:
-        if D.is_identity or not add(D, D).is_identity:
-            raise RuntimeError(f"basis element {D!r} does not have order 2")
-    if g <= 3:
-        for mask in range(1, 1 << (2 * g)):
-            acc = curve.identity()
-            for i in range(2 * g):
-                if mask >> i & 1:
-                    acc = add(acc, basis[i])
-            if acc.is_identity:
-                raise RuntimeError(f"basis subset {mask:b} sums to the identity")
-    total = curve.identity()
-    for e in roots:
-        total = add(total, embed_root(e, curve))
-    if not total.is_identity:
-        raise RuntimeError("embedded roots do not sum to the identity")
-    return TorsionBasis(ctx=ctx, curve=curve, roots=roots, basis=basis)
 
 
 class BinaryMatrix:
@@ -188,10 +116,6 @@ class BinaryMatrix:
                 bitrows.append(sum((1 << j) for j, e in enumerate(row) if e & 1))
         self.n = len(bitrows)
         self.rows = tuple(r & ((1 << self.n) - 1) for r in bitrows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls([1 << i for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols: list[int], n: int) -> "BinaryMatrix":
@@ -271,10 +195,10 @@ def frobenius_permutation(
 ) -> list[int]:
     """Image indices of the roots of f mod p under x -> x^p, canonical order."""
     ctx, roots = _splitting_data(f, p, seed, cap)
-    index = {e.value: i for i, e in enumerate(roots)}
+    index = {e: i for i, e in enumerate(roots)}
     perm = []
     for e in roots:
-        img = ctx.frobenius(e.value)
+        img = ctx.frobenius(e)
         if img not in index:
             raise RuntimeError("Frobenius image is not a listed root")
         perm.append(index[img])

@@ -402,6 +402,11 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
         assert status == 1 and "workers" in err
     status, _, err = run_cli(capsys, "verify", "x^3-2", "--bound", "2147483648")
     assert status == 1 and "bound" in err
+    for order in ("0", "-3"):
+        status, out, err = run_cli(
+            capsys, "density", "x^3-2", "--bound", "1000000", "--group-order", order
+        )
+        assert (status, out, err) == (1, "", "error: group order must be positive\n")
 
 
 # the per-prime entry point each sweep calls, and how to read p off its arguments

@@ -41,7 +41,7 @@ def _annotations(tree: ast.Module):
 
 def _used_names(tree: ast.Module) -> set[str]:
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # a quoted annotation such as "FieldElement" names its type in a string
+    # a quoted annotation such as "Polynomial" names its type in a string
     for ann in _annotations(tree):
         if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
             used |= _used_names(ast.parse(ann.value, mode="eval"))

@@ -373,6 +373,13 @@ def test_density_without_group_order():
     assert rep.group_order is None and rep.deviation is None
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_density_refuses_a_nonpositive_group_order_before_the_sweep(monkeypatch, order):
+    monkeypatch.setattr(reciprocity, "sieve_primes", lambda bound: pytest.fail("sieve started"))
+    with pytest.raises(ValueError, match="group order must be positive"):
+        density_report(CUBE, 10**6, group_order=order)
+
+
 def test_density_agrees_with_verify():
     rep = density_report(CUBE, 300)
     report = verify_law(CUBE, 300)

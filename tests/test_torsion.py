@@ -23,13 +23,13 @@ from splitlaw import (
     PrimeFieldContext,
     add,
     blowup_chain,
-    enumerate_jacobian,
     frobenius_permutation,
     permutation_matrix,
     permutation_order,
-    torsion_basis,
     two_torsion_points,
 )
+
+from oracles import embed_root, enumerate_jacobian, identity, torsion_basis
 
 
 def curve(p, coeffs):
@@ -94,7 +94,7 @@ def test_two_torsion_subgroup_is_closed():
 
 def test_two_torsion_requires_squarefree_curve():
     ctx = PrimeFieldContext(7)
-    f = Polynomial(ctx, [1, 2, 1]) * Polynomial(ctx, [5, 1])  # (x + 1)^2 (x + 5)
+    f = Polynomial(ctx, [5, 11, 7, 1])  # (x + 1)^2 (x + 5)
     with pytest.raises(NotSquarefree):
         HyperellipticCurve(f)
 
@@ -111,7 +111,7 @@ def test_basis_of_split_cubic_spans_the_two_torsion():
     assert len(tb.roots) == 3 and len(tb.basis) == 2
     sums = set()
     for mask in range(4):
-        acc = tb.curve.identity()
+        acc = identity(tb.curve)
         for i in range(2):
             if mask >> i & 1:
                 acc = add(acc, tb.basis[i])
@@ -125,7 +125,7 @@ def test_basis_of_split_quintic_spans_the_two_torsion():
     assert len(tb.roots) == 5 and len(tb.basis) == 4
     sums = set()
     for mask in range(16):
-        acc = tb.curve.identity()
+        acc = identity(tb.curve)
         for i in range(4):
             if mask >> i & 1:
                 acc = add(acc, tb.basis[i])
@@ -139,9 +139,7 @@ def test_basis_construction_over_an_extension():
     tb = torsion_basis(f, 5, seed=1)
     assert tb.ctx.order == 25
     assert len(tb.roots) == 3
-    total = tb.curve.identity()
-    from splitlaw import embed_root
-
+    total = identity(tb.curve)
     for e in tb.roots:
         total = add(total, embed_root(e, tb.curve))
     assert total.is_identity
@@ -165,7 +163,7 @@ def test_basis_requires_squarefree_input():
 
 
 def test_binary_matrix_basics():
-    I = BinaryMatrix.identity(3)
+    I = BinaryMatrix([1, 2, 4])
     assert I.is_identity and I.is_invertible and I.order() == 1
     M = BinaryMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # 3-cycle
     assert M.order() == 3
@@ -230,7 +228,7 @@ def test_cubic_frobenius_consistency(p):
     assert M.order() == permutation_order(perm)
     # the matrix of frob^k must match the k-fold permutation
     perm_k = list(range(3))
-    Mk = BinaryMatrix.identity(2)
+    Mk = BinaryMatrix([1, 2])
     for _ in range(1, 7):
         perm_k = [perm[i] for i in perm_k]
         Mk = M * Mk
@@ -246,7 +244,7 @@ def test_quintic_frobenius_consistency(p):
     assert M.n == 4 and M.is_invertible
     assert M.order() == permutation_order(perm)
     perm_k = list(range(5))
-    Mk = BinaryMatrix.identity(4)
+    Mk = BinaryMatrix([1, 2, 4, 8])
     for _ in range(1, 7):
         perm_k = [perm[i] for i in perm_k]
         Mk = M * Mk
@@ -281,6 +279,29 @@ def test_frobenius_cycle_type_is_the_factorization_type(coeffs, bound):
         perm = frobenius_permutation(fbar, p, seed=p)
         degrees = sorted(g.degree for g, _ in factorize(fbar, seed=0).factors)
         assert cycle_lengths(perm) == degrees, p
+
+
+@pytest.mark.parametrize(
+    "coeffs,bound", [([-2, 0, 0, 1], 100), ([-1, -1, 0, 0, 0, 1], 40), ([3, 1, -4, 1, 5, -9, 1, 1], 20)]
+)
+def test_reported_matrix_is_frobenius_on_the_torsion_basis(coeffs, bound):
+    """Column i of the reported matrix sums, by Cantor addition, to (x - r_i^p, 0)."""
+    from splitlaw import IntegerPolynomial, good_primes
+
+    f = IntegerPolynomial(coeffs)
+    orders = set()
+    for p in good_primes(f, bound):
+        fbar = f.reduce_mod(p)
+        M = permutation_matrix(frobenius_permutation(fbar, p, seed=p))
+        tb = torsion_basis(fbar, p, seed=p)  # the same field and root order
+        orders.add(tb.ctx.order // p)
+        for i in range(M.n):
+            acc = identity(tb.curve)
+            for j, row in enumerate(M.rows):
+                if row >> i & 1:
+                    acc = add(acc, tb.basis[j])
+            assert acc == embed_root(tb.ctx.frobenius(tb.roots[i]), tb.curve), (p, i)
+    assert max(orders) > 1  # some splitting fields are proper extensions
 
 
 def test_identity_matrix_iff_split():
