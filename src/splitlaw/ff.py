@@ -8,8 +8,10 @@ Raw element encodings:
 
 A field element is its raw value. Contexts implement arithmetic on raw
 values, convert ints and int sequences to them (``element``), and are
-immutable after construction, so they can be shared freely. The only
-source of randomness is the explicit seed passed to ``ext_new``.
+immutable after construction, so they can be shared freely. An extension
+tabulates y^(p*j) modulo its modulus once, so Frobenius a -> a^p is a
+table product rather than a power. The only source of randomness is the
+explicit seed passed to ``ext_new``.
 """
 
 from __future__ import annotations
@@ -366,7 +368,7 @@ class ExtFieldContext:
     extensions are allowed and behave like a relabelled copy of the base.
     """
 
-    __slots__ = ("base", "k", "modulus")
+    __slots__ = ("base", "k", "modulus", "_frob")
 
     def __init__(self, base: PrimeFieldContext, modulus: Sequence[int]):
         mod = tuple(c % base.p for c in modulus)
@@ -381,6 +383,13 @@ class ExtFieldContext:
         self.base = base
         self.modulus = mod
         self.k = len(mod) - 1
+        p = base.p
+        # row j is y^(p*j) mod the modulus, so a^p = sum_j a_j * row j, as a_j^p = a_j
+        y_p = _ppowmod((0, 1), p, mod, p)
+        rows = [(1,)]
+        for _ in range(self.k - 1):
+            rows.append(_pdivmod(_pmul(rows[-1], y_p, p), mod, p)[1])
+        self._frob = tuple(self._pad(r) for r in rows)
 
     @property
     def char(self) -> int:
@@ -426,11 +435,15 @@ class ExtFieldContext:
             raise NonInvertible("element is not invertible modulo the given modulus")
         return self._pad(s)
 
-    def pow_(self, a: tuple, e: int) -> tuple:
-        return self._pad(_ppowmod(a, e, self.modulus, self.base.p))
-
     def frobenius(self, a: tuple) -> tuple:
-        return self.pow_(a, self.base.p)
+        """a^p, from the table: k^2 multiply-adds and one % p per coefficient."""
+        out = [0] * self.k
+        for c, row in zip(a, self._frob):
+            if c:
+                for i, t in enumerate(row):
+                    out[i] += c * t
+        p = self.base.p
+        return tuple(c % p for c in out)
 
     # -- conversions --------------------------------------------------------
     def embed(self, c: int) -> tuple:

@@ -10,16 +10,19 @@ multiplication, division and gcds run on the int-tuple kernel too, and the
 context-generic loops below serve them over F_{p^k} only.
 
 Factorization follows the classic pipeline: squarefree decomposition, then
-distinct-degree splitting (ff._pddf), then randomized equal-degree
-splitting. It shares its Cantor-Zassenhaus descent with root finding; both
-run it on raw coefficient tuples and wrap Polynomial only at the boundary.
-The randomness is an explicit seed, and factors are returned in a
-canonical order, so results are reproducible.
+distinct-degree splitting (ff._pddf), then Cantor-Zassenhaus equal-degree
+splitting over F_p, on raw coefficient tuples, wrapping Polynomial only at
+the boundary. The randomness is an explicit seed, and factors are returned
+in a canonical order, so results are reproducible.
 
-Root finding takes f with F_p coefficients and a field F_q, q = p^k. It
-isolates one root of each F_p factor of gcd(x^q - x, f) by Cantor-Zassenhaus
-descent over F_q and reads the others off its Frobenius orbit r -> r^p
-(von zur Gathen & Gerhard, Modern Computer Algebra, 14.3-14.5).
+Root finding takes f with F_p coefficients and a field F_q, q = p^k, and
+has a descent of its own. It isolates one root of each F_p factor of
+gcd(x^q - x, f) by trace splitting over F_q and reads the others off its
+Frobenius orbit r -> r^p (von zur Gathen & Gerhard, Modern Computer
+Algebra, 14.3-14.5). The absolute trace Tr(a*x + b) takes F_p values at
+the roots, so a split powers by (p - 1)/2 rather than (q - 1)/2; it is
+assembled from x^(p^i) mod h over F_p (von zur Gathen & Shoup, "Computing
+Frobenius maps and factoring polynomials", Comput. Complexity 2, 1992).
 """
 
 from __future__ import annotations
@@ -477,16 +480,54 @@ def factorize(f: Polynomial, seed) -> Factorization:
     return Factorization(unit=unit, factors=wrapped)
 
 
+def _trace_split(ctx, g: tuple, xs: list, rng: random.Random) -> tuple:
+    """A proper monic factor of monic g over ctx = F_q, g a product of distinct x - r.
+
+    xs[i] = x^(p^i) mod h over F_p, i < k, for some h with g | h, q = p^k.
+    For random a, b in F_q, T = sum_i (a^(p^i) xs[i] + b^(p^i)) is
+    Tr(a*x + b) mod h, so T(r) = Tr(a*r + b) lies in F_p at every root r,
+    and gcd(T, g) or gcd(T^((p - 1)/2) - 1, g) splits g with probability
+    about 1/2. b is needed: for x^2 - c, c a non-residue and p = 1 mod 4,
+    the roots r and r^p = -r have traces t and -t, one quadratic character.
+    Gives up after 128 draws.
+    """
+    ext = isinstance(ctx, ff.ExtFieldContext)
+    p, k = (ctx.base.p, ctx.k) if ext else (ctx.p, 1)
+    exponent = (p - 1) // 2
+    one = (ctx.one,)
+    n = len(g)
+    for _ in range(128):
+        a, b = ctx.rand_raw(rng), ctx.rand_raw(rng)
+        t = [[0] * k for _ in range(max(map(len, xs)))]  # T's coefficients as F_p vectors
+        for x_i in xs:
+            av, bv = (a, b) if ext else ((a,), (b,))
+            for row, c in zip(t, x_i):
+                if c:
+                    for j, e in enumerate(av):
+                        row[j] += c * e
+            for j, e in enumerate(bv):
+                t[0][j] += e
+            a, b = ctx.frobenius(a), ctx.frobenius(b)
+        T = _norm([tuple(c % p for c in row) if ext else row[0] % p for row in t], ctx.zero)
+        for cand in (T, _sub_raw(ctx, _powmod_raw(ctx, T, exponent, g), one)):
+            part = _gcd_raw(ctx, cand, g)
+            if 1 < len(part) < n:
+                return part
+    raise RuntimeError("trace splitting failed to converge")
+
+
 def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list:
     """All distinct roots in ctx of f over the prime field F_p beneath ctx.
 
-    h = gcd(x^q - x, f) is formed over F_p. Then, until h = 1, one root r of
-    h is isolated by Cantor-Zassenhaus over ctx, always keeping the smaller
-    part of a split, and the rest of the roots of r's minimal polynomial m
-    are its Frobenius orbit r, r^p, r^(p^2), ...; m is divided out of h.
-    The descent draws from random.Random(seed), but the roots are returned
-    as raw values in ascending order, so the result does not depend on the
-    seed. f must have F_p coefficients.
+    h = gcd(x^q - x, f) is formed over F_p, q = p^k, with the table
+    X_i = x^(p^i) mod h, i < k. Then, until h = 1, one root r of h is
+    isolated over ctx by trace splitting, always keeping the smaller part
+    of a split: each split powers Tr(a*x + b) by (p - 1)/2, not a random
+    polynomial by (q - 1)/2. The rest of the roots of r's minimal
+    polynomial m are its Frobenius orbit r, r^p, r^(p^2), ..., and m is
+    divided out of h. The descent draws from random.Random(seed), but the
+    roots are returned as raw values in ascending order, so the result does
+    not depend on the seed. f must have F_p coefficients.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every element as a root")
@@ -497,12 +538,16 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list:
     f = f.monic()
     x = Polynomial.x(base)
     h = poly_gcd(x.pow_mod(ctx.order, f) - x, f).coeffs
+    p = base.p
+    xs = [(0, 1)]  # modulo the first h, which every later h divides
+    while len(xs) < (ctx.k if ext else 1) and len(h) > 2:
+        xs.append(ff._ppowmod(xs[-1], p, h, p))
     rng = random.Random(seed)
     roots = []
     while len(h) > 1:
         g = tuple(ctx.embed(c) for c in h) if ext else h
         while len(g) > 2:
-            part = _random_split(ctx, g, 1, rng)
+            part = _trace_split(ctx, g, xs, rng)
             g = part if 2 * len(part) <= len(g) + 1 else _exact_div_raw(ctx, g, part)
         r = ctx.neg(g[0])
         orbit = [r]

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against; no command runs them.
 
-Brute-force Jacobian enumeration (with a cap), inverses and multiples of
-classes, a checked Mumford constructor for pairs written by hand, and the
-basis of embedded roots that backs the matrices `frobenius` reports.
+Field powers by square-and-multiply, brute-force Jacobian enumeration
+(with a cap), inverses and multiples of classes, a checked Mumford
+constructor for pairs written by hand, and the basis of embedded roots that
+backs the matrices `frobenius` reports.
 """
 
 import itertools
@@ -18,6 +19,16 @@ def elements(ctx):
     if isinstance(ctx, ff.PrimeFieldContext):
         return iter(range(ctx.p))
     return itertools.product(range(ctx.base.p), repeat=ctx.k)
+
+
+def power(ctx, a, e: int):
+    """a^e for a raw element a and e >= 0, by square-and-multiply on ctx.mul."""
+    r = ctx.one
+    for bit in bin(e)[2:]:
+        r = ctx.mul(r, r)
+        if bit == "1":
+            r = ctx.mul(r, a)
+    return r
 
 
 def evaluate(f: Polynomial, x):

@@ -5,6 +5,7 @@ output is required to agree with the JSON records cell by cell, so the
 two formats can never drift apart silently.
 """
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -394,7 +395,7 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
         raise AssertionError("a sieve or pool started before the limits were checked")
 
     monkeypatch.setattr(reciprocity, "sieve_primes", refuse)
-    monkeypatch.setattr(reciprocity, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     for workers in ("0", "-3"):
         status, _, err = run_cli(
             capsys, "verify", "x^3-2", "--bound", "100", "--workers", workers

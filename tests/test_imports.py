@@ -1,6 +1,6 @@
 """Every module-level import and private helper in the package source is
-used, every error class is raised, and every random stream is seeded by the
-caller.
+used, every error class is raised, every random stream is seeded by the
+caller, and importing the command line loads no process pool.
 
 No linter ships with the project, so this reads each module with the
 standard library's ast. `__init__.py` is skipped: it imports names only to
@@ -8,6 +8,8 @@ re-export them.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,13 @@ def test_only_reciprocity_sweeps_primes():
     assert pooled == ["reciprocity.py"]
     enumerated = refs["cli.py"] & {"good_primes", "sieve_primes", "_split_primes"}
     assert not enumerated, f"cli.py enumerates primes through {sorted(enumerated)}"
+
+
+def test_the_process_pool_is_imported_only_when_a_pool_runs():
+    # every serial command would pay for concurrent.futures at start-up
+    code = "import sys, splitlaw.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def _raised_names(tree: ast.Module):

@@ -31,6 +31,7 @@ from oracles import (
     evaluate,
     identity,
     neg,
+    power,
     scalar_mul,
 )
 
@@ -182,7 +183,7 @@ def zeta_order(p, coeffs, genus):
             val = evaluate(fk, a)
             if val == ctx.zero:
                 affine += 1
-            elif ctx.pow_(val, (ctx.order - 1) // 2) == ctx.one:
+            elif power(ctx, val, (ctx.order - 1) // 2) == ctx.one:
                 affine += 2
         counts.append(affine + 1)  # one point at infinity for odd degree
     s = [p**k + 1 - counts[k - 1] for k in range(1, genus + 1)]

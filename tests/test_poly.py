@@ -30,9 +30,9 @@ from splitlaw import (
 )
 from splitlaw import ff
 from splitlaw.poly import _add_raw, _divmod_raw, _exact_div_raw, _gcd_raw, _mul_raw
-from splitlaw.poly import _powmod_raw, _random_split, _xgcd_raw
+from splitlaw.poly import _powmod_raw, _random_split, _trace_split, _xgcd_raw
 
-from oracles import elements, embed_poly, evaluate
+from oracles import elements, embed_poly, evaluate, power
 
 X = sympy.Symbol("x")
 
@@ -390,6 +390,8 @@ def test_roots_in_does_not_depend_on_the_seed():
 )
 # (x^3 - x - 1)(x^2 + 1)^2 over F_3: a cubic with no root in F_9, a squared quadratic
 @example(pk=(3, 2), seed=0, lead=2, factors=[([2, 2, 0], 1), ([1, 0], 2)])
+# x^2 - 2 over F_5: its roots r and -r split only through the trace's shift b
+@example(pk=(5, 2), seed=0, lead=1, factors=[([3, 0], 1)])
 @settings(max_examples=120, deadline=None)
 def test_roots_in_matches_brute_force(pk, seed, lead, factors):
     """f is a product of monic factors of degree 1-3, some squared, degree <= 7."""
@@ -404,6 +406,20 @@ def test_roots_in_matches_brute_force(pk, seed, lead, factors):
     fe = embed_poly(f, ctx)
     expected = sorted(e for e in elements(ctx) if evaluate(fe, e) == ctx.zero)
     assert roots_in(f, ctx, seed=seed) == expected
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_trace_split_needs_the_shift(p):
+    # p = 1 mod 4 and c a non-residue: the roots r and r^p = -r of x^2 - c
+    # have traces t and -t, one quadratic character, so Tr(a*x) never splits
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    f = Polynomial(PrimeFieldContext(p), [-c, 0, 1])
+    for seed in range(3):
+        ctx = ext_new(p, 2, seed=seed)
+        fe = embed_poly(f, ctx)
+        roots = roots_in(f, ctx, seed=seed)
+        assert roots == [e for e in elements(ctx) if evaluate(fe, e) == ctx.zero]
+        assert all(power(ctx, r, p) == ctx.neg(r) for r in roots)
 
 
 def test_roots_in_needs_prime_field_coefficients():
@@ -436,6 +452,19 @@ def test_random_split_gives_up_after_128_draws(k):
     with pytest.raises(RuntimeError, match="failed to converge"):
         _random_split(f.ctx, f.coeffs, 1, rng)
     assert rng.calls == 128 * f.degree * k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_trace_split_gives_up_after_128_draws(k):
+    # a = b = 0 at every draw, so T = 0 and neither gcd is a proper factor
+    h = (2, 2, 1)  # (x - 1)(x - 2) over F_5
+    ctx = PrimeFieldContext(5) if k == 1 else ext_new(5, k, seed=1)
+    g = h if k == 1 else tuple(ctx.embed(c) for c in h)
+    xs = [(0, 1)] + [ff._ppowmod((0, 1), 5**i, h, 5) for i in range(1, k)]
+    rng = ZeroRandom(0)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        _trace_split(ctx, g, xs, rng)
+    assert rng.calls == 128 * 2 * k
 
 
 def test_embed_poly_respects_evaluation():

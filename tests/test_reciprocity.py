@@ -6,6 +6,7 @@ fast complete-splitting test is checked against a brute-force root scan
 and against the factorization route it deliberately avoids.
 """
 
+import concurrent.futures
 import os
 import random
 from fractions import Fraction
@@ -289,7 +290,7 @@ def test_verify_law_pool_is_no_wider_than_primes_or_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(reciprocity, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     report = verify_law(CUBE, 200, workers=10**6)
     width = min(len(report.records), os.cpu_count() or 1)
     assert asked == ([width] if width > 1 else [])
