@@ -60,11 +60,15 @@ def is_prime(n: int) -> bool:
 # The F_p[x] kernel: polynomials over a prime field as int tuples (ascending,
 # normalized: no trailing zero), p passed explicitly. It backs F_{p^k} and
 # every prime-field Polynomial in poly.py; _pddf is its one distinct-degree
-# loop. _ppowmod powers left to right modulo a fixed m and reduces through a
-# table of x^i mod m, so "times x" is a shift; _qpowmod does the same in
-# F_{p^k}[x], on flat int lists with a second table for y^j mod the field's
-# modulus. Algorithms: von zur Gathen & Gerhard, Modern Computer Algebra,
-# ch. 2-4, 9, 14.
+# loop. _ppowmod powers modulo a fixed m of degree n on one packed int of n
+# W-bit lanes (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009):
+# one big-int square per step, top lanes folded through rows x^k mod m, and
+# one lane-wise Barrett step (Barrett, CRYPTO '86) for lanes below
+# B = 5np^2, with W = (B*mu).bit_length() + 1, mu = 2^s // p and
+# s = B.bit_length(), set per call from p and n. _qpowmod reduces through a
+# table of x^i mod m in F_{p^k}[x], on flat int lists with a second table
+# for y^j mod the field's modulus. Algorithms: von zur Gathen & Gerhard,
+# Modern Computer Algebra, ch. 2-4, 9, 14.
 # ---------------------------------------------------------------------------
 
 
@@ -117,13 +121,15 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple]:
 def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
     """a^e mod nonzero m; e = 0 gives (1,) whatever m is.
 
-    Left-to-right square-and-multiply modulo the fixed m (NTL's PowerXMod).
-    m is scaled to monic, which leaves remainders unchanged, and the rows
-    x^(n+k) mod m, 0 <= k <= n - 2 with n = deg m, are tabulated once. A
-    product of degree <= 2n - 2, summed with delayed reduction, then folds
-    its top n - 1 coefficients back through the rows with one % p per
-    coefficient and no division loop. When a = x mod m, multiplying by it
-    is a shift plus the row x^n mod m.
+    Left-to-right square-and-multiply modulo the fixed m, scaled to monic, on
+    one packed int: a residue of degree < n = deg m is R = sum r_i 2^(iW), so
+    R*R is one product of 2n - 1 carry-free lanes. Each top lane k is reduced
+    % p and folded in as that multiple of the packed row x^k mod m; for a = x,
+    "times x" is a one-lane shift plus one fold. Each step ends with one
+    lane-wise Barrett step, L -= p*((L*mu >> s) & qmask), leaving lanes in
+    [0, 2p). Lanes enter it below B = 5np^2 (a square < 4np^2, its folds
+    < (n - 1)p^2, a shift-and-fold < p^2); s = B.bit_length(), mu = 2^s // p
+    and W = (B*mu).bit_length() + 1 keep each L*mu in its lane.
     """
     if not e:
         return (1,)
@@ -134,37 +140,39 @@ def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
     base = _pdivmod(a, m, p)[1]
     if not base:
         return ()
-    x_n = [-c % p for c in m[:n]]
+    bound = 5 * n * p * p
+    s = bound.bit_length()
+    mu = (1 << s) // p
+    w = (bound * mu).bit_length() + 1
+    lane = (1 << w) - 1
+    low = (1 << n * w) - 1
+    qmask = ((1 << w - s) - 1) * (low // lane)  # W - s ones in each of n lanes
 
-    def times_x(u: list) -> list:
-        return [(w + u[-1] * c) % p for w, c in zip([0, *u[:-1]], x_n)]
+    def pack(c):
+        r = 0
+        for v in reversed(c):
+            r = r << w | v
+        return r
 
-    rows = [x_n]
-    for _ in range(n - 2):
-        rows.append(times_x(rows[-1]))
-    folds = list(zip(range(n, 2 * n - 1), rows))
-
-    def mulmod(u: list, v: list) -> list:
-        s = [0] * (2 * n - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v, i):
-                    s[j] += ui * vj
-        for k, row in folds:
-            c = s[k] % p
-            if c:
-                for i, t in enumerate(row):
-                    s[i] += c * t
-        del s[n:]
-        return [c % p for c in s]
-
-    is_x = base == (0, 1)
-    b = r = list(base) + [0] * (n - len(base))
-    for bit in bin(e)[3:]:
-        r = mulmod(r, r)
-        if bit == "1":
-            r = times_x(r) if is_x else mulmod(r, b)
-    return _pnorm(r)
+    x_n = row = [-c % p for c in m[:n]]
+    folds = [(n * w, pack(row))]
+    for k in range(n + 1, 2 * n - 1):  # row = x^k mod m
+        row = [(u + row[-1] * c) % p for u, c in zip([0, *row[:-1]], x_n)]
+        folds.append((k * w, pack(row)))
+    top, row_n = folds.pop() if n == 1 else folds[0]  # at n = 1 a square is one lane
+    b = r = pack(base)
+    steps = bin(e)[3:]  # "0": square; "1": square times x; "b": times the base
+    steps = steps if base == (0, 1) else steps.replace("1", "0b")
+    for step in steps:
+        t = r * b if step == "b" else r * r
+        r = t & low
+        for shift, row_k in folds:
+            r += (t >> shift & lane) % p * row_k
+        if step == "1":
+            r <<= w
+            r = (r & low) + (r >> top) % p * row_n
+        r -= p * (r * mu >> s & qmask)
+    return _pnorm([(r >> i * w & lane) % p for i in range(n)])
 
 
 def _qpowmod(a: Sequence[tuple], e: int, m: Sequence[tuple], mod: Sequence[int], p: int) -> tuple:
@@ -237,9 +245,17 @@ def _qpowmod(a: Sequence[tuple], e: int, m: Sequence[tuple], mod: Sequence[int],
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    """Monic gcd, without cofactors."""
+    """Monic gcd, without cofactors: Euclid on remainders, no quotient built."""
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        db = len(b) - 1
+        binv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+        r = list(a)
+        for top in range(len(r) - 1, db - 1, -1):
+            c = r[top] * binv % p
+            if c:
+                for i in range(db):
+                    r[top - db + i] -= c * b[i]
+        a, b = b, _pnorm([c % p for c in r[:db]])
     if not a or a[-1] == 1:
         return tuple(a)
     inv = pow(a[-1], p - 2, p)

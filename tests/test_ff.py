@@ -104,6 +104,14 @@ def test_inverse_of_four_mod_31(f31):
 def test_zero_exponent_gives_one_even_at_zero(f25):
     assert power(f25, f25.zero, 0) == f25.one
     assert power(f25, (3, 4), 0) == f25.one
+    # the kernels: e = 0 gives one for a zero or x base, m constant or not
+    for a in ((), (0, 1)):
+        for m in ((3,), (1,), (2, 1), (1, 0, 3)):
+            assert _ppowmod(a, 0, m, 5) == (1,)
+    zero, one = f25.zero, f25.one
+    for m in (((2, 0),), ((1, 0), (1, 0)), ((3, 4), zero, (2, 1))):
+        assert _qpowmod((), 0, m, f25.modulus, 5) == (one,)
+        assert _qpowmod((zero,), 0, m, f25.modulus, 5) == (one,)
 
 
 def test_zero_has_no_inverse(f31):
@@ -229,9 +237,13 @@ def test_ext_new_moduli_are_pinned(p, k, seed, modulus):
     assert ext_new(p, k, seed=seed).modulus == modulus
 
 
+def sympy_powmod(a, e, m, p):
+    return tuple(gf_pow_mod(list(a[::-1]), e, list(m[::-1]), p, ZZ)[::-1])  # sympy is descending
+
+
 @given(
-    p=st.sampled_from([3, 5, 7, 31, 2**31 - 1]),
-    m=st.lists(st.integers(0, 2**31), min_size=1, max_size=10),
+    p=st.sampled_from([3, 5, 7, 31, 3371, 65521, 2**31 - 1]),
+    m=st.lists(st.integers(0, 2**31), min_size=1, max_size=21),
     monic=st.booleans(),
     a=st.one_of(
         st.just([]),
@@ -244,13 +256,29 @@ def test_ext_new_moduli_are_pinned(p, k, seed, modulus):
 @example(p=5, m=[4], monic=False, a=[0, 1], e=0)  # x^0 mod a constant is 1
 @settings(max_examples=300, deadline=None)
 def test_ppowmod_matches_sympy(p, m, monic, a, e):
-    """m of degree 0 to 9, a longer than m, zero or x; e = 0, 1 or up to p^3."""
+    """m of degree 0 to 20, a longer than m, zero or x; e = 0, 1 or up to p^3."""
     m = [c % p for c in m]
     m[-1] = 1 if monic else m[-1] or 2
     a = _pnorm([c % p for c in a])
     e %= p**3 + 1
-    want = gf_pow_mod(a[::-1], e, m[::-1], p, ZZ)[::-1]  # sympy is descending
-    assert _ppowmod(a, e, tuple(m), p) == tuple(want)
+    assert _ppowmod(a, e, tuple(m), p) == sympy_powmod(a, e, m, p)
+
+
+@pytest.mark.parametrize(
+    "p,degrees",
+    [(p, range(1, 21)) for p in (3, 97, 3371, 65521)] + [(2**31 - 1, (*range(1, 21), 64))],
+)
+def test_ppowmod_matches_sympy_at_the_sweep_exponents(p, degrees):
+    """deg m 1 to 20 (and 64 at the largest p), a = x or a random residue, at
+    the exponents the sweeps use: p, (p - 1)/2 and p^k. Mid-size primes are
+    where lanes sized too narrow for the packed square overflow."""
+    rng = random.Random(p)
+    for n in degrees:
+        for monic in (True, False):
+            m = [rng.randrange(p) for _ in range(n)] + [1 if monic else rng.randrange(2, p)]
+            for a in ((0, 1), _pnorm([rng.randrange(p) for _ in range(n + 2)])):
+                for e in (p, (p - 1) // 2, p**2, p**3):
+                    assert _ppowmod(a, e, tuple(m), p) == sympy_powmod(a, e, m, p), (n, a, e)
 
 
 _cached_ext = functools.lru_cache(maxsize=None)(ext_new)
