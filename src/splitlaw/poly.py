@@ -220,9 +220,6 @@ class Polynomial:
         q, r = _divmod_raw(self.ctx, self.coeffs, other.coeffs)
         return Polynomial._raw(self.ctx, q), Polynomial._raw(self.ctx, r)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
         modulus = self._check(modulus)
         if modulus.is_zero:
@@ -463,11 +460,13 @@ def factorize(f: Polynomial, seed) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     unit = f.coeffs[-1]
     fm = _monic_raw(ctx, f.coeffs)
-    rng = random.Random(seed)
+    rng = None  # built at the first product of several degree-d factors
     factors: list[tuple[tuple, int]] = []
     if len(fm) > 1:
         for part, mult in _squarefree_parts(ctx, fm):
             for prod, d in ff._pddf(part, ctx.p):
+                if rng is None and len(prod) - 1 > d:
+                    rng = random.Random(seed)
                 factors.extend((irr, mult) for irr in _equal_degree_split(ctx, prod, d, rng))
     factors.sort(key=lambda fm_: (len(fm_[0]), fm_[0]))
     product = (unit,)

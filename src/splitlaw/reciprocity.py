@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import ff
 from .errors import (
     INTERNAL_ERRORS,
     EmptyRange,
@@ -33,9 +34,8 @@ from .errors import (
     UnsupportedDegree,
     ZeroDiscriminant,
 )
-from .ff import DEFAULT_EXT_CAP
 from .jacobian import HyperellipticCurve
-from .poly import IntegerPolynomial, Polynomial, SplittingType
+from .poly import IntegerPolynomial, SplittingType
 from .torsion import (
     frobenius_permutation, permutation_matrix, permutation_order, two_torsion_points
 )
@@ -138,18 +138,19 @@ def good_primes(f: IntegerPolynomial, bound: int) -> list[int]:
 
 
 def splits_completely(f: IntegerPolynomial, p: int) -> bool:
-    """True iff f mod p is squarefree with all factors linear.
+    """True iff f mod p has full degree, is squarefree and has all factors linear.
 
     Computed without factorization: f mod p splits completely exactly when
     it divides x^p - x, the product of (x - a) over all a in F_p, tested as
     x^p = x mod f. That product has no repeated factor, so divisibility
-    also settles squarefreeness.
+    also settles squarefreeness. It runs on the F_p[x] kernel, on int
+    tuples: no field context, so no primality test of p, which the caller
+    has already sieved.
     """
-    fbar = f.reduce_mod(p)
-    if fbar.degree != f.degree or fbar.degree < 1:
+    fbar = ff._pnorm([c % p for c in f.coeffs])
+    if len(fbar) != len(f.coeffs) or len(fbar) < 2:
         return False
-    x = Polynomial.x(fbar.ctx)
-    return x.pow_mod(p, fbar) == x % fbar
+    return len(fbar) == 2 or ff._ppowmod((0, 1), p, fbar, p) == (0, 1)
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,7 @@ def _frobenius_record(f: IntegerPolynomial, seed, cap: int, p: int) -> Frobenius
 
 
 def frobenius_sweep(
-    f: IntegerPolynomial, bound: int, *, seed=DEFAULT_SEED, cap: int = DEFAULT_EXT_CAP
+    f: IntegerPolynomial, bound: int, *, seed=DEFAULT_SEED, cap: int = ff.DEFAULT_EXT_CAP
 ) -> tuple[FrobeniusRecord, ...]:
     """Frobenius at every good prime <= bound, by ascending prime."""
     _validate_law_input(f)

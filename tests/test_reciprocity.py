@@ -2,8 +2,9 @@
 
 The resultant/discriminant path (Sylvester matrix + fraction-free
 determinant) is checked against closed formulas and against sympy; the
-fast complete-splitting test is checked against a brute-force root scan
-and against the factorization route it deliberately avoids.
+fast complete-splitting test is checked against a brute-force root scan,
+against sympy's factorization mod p and against the factorization route it
+deliberately avoids.
 """
 
 import concurrent.futures
@@ -36,7 +37,7 @@ from splitlaw import (
     two_torsion_points,
     verify_law,
 )
-from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, reciprocity
+from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, ff, reciprocity
 
 X = sympy.Symbol("x")
 CUBE = IntegerPolynomial([-2, 0, 0, 1])  # x^3 - 2
@@ -217,6 +218,75 @@ def test_splits_completely_handles_bad_primes_too():
     f = IntegerPolynomial([0, -1, 0, 1])  # x^3 - x = x(x-1)(x+1)
     assert splits_completely(f, 5) is True
     assert splits_completely(f, 3) is True
+
+
+def sympy_splits(f, p):
+    """sympy's factorization mod p is all linear, squarefree and of full degree >= 1."""
+    factors = sympy.Poly(list(reversed(f.coeffs)), X, modulus=p).factor_list()[1]
+    linear = all(g.degree() == 1 and m == 1 for g, m in factors)
+    return linear and len(factors) == f.degree >= 1
+
+
+SPLIT_PRIMES = [3, 5, 7, 97, 65521, 2**31 - 1]
+
+
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=2, max_size=10).filter(lambda c: c[-1]),
+    monic=st.booleans(),
+    p=st.sampled_from(SPLIT_PRIMES),
+)
+@settings(max_examples=150, deadline=None)
+def test_splits_completely_matches_sympy(coeffs, monic, p):
+    f = IntegerPolynomial(coeffs[:-1] + [1] if monic else coeffs)  # degree 1 to 9
+    assert splits_completely(f, p) == sympy_splits(f, p)
+
+
+@given(
+    roots=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=9),
+    lead=st.integers(1, 14),
+    p=st.sampled_from(SPLIT_PRIMES),
+)
+@settings(max_examples=150, deadline=None)
+def test_splits_completely_matches_sympy_on_products_of_linears(roots, lead, p):
+    # random f almost never split at a large p; lead * prod (x - r) split
+    # exactly when lead is a unit mod p and the roots are distinct mod p
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    f = IntegerPolynomial(coeffs)
+    assert splits_completely(f, p) == sympy_splits(f, p)
+
+
+@pytest.mark.parametrize(
+    "coeffs,p,want",
+    [
+        ([-2, 0, 0, 1], 31, True),  # x^3 - 2
+        ([1, 1, 0, 7], 7, False),  # 7x^3 + x + 1 = x + 1 mod 7: the degree drops
+        ([-1, 0, 1, 5], 5, False),  # x^2 - 1 splits mod 5, but not 5x^3 + x^2 - 1
+        ([5, 0, 10], 5, False),  # zero mod p
+        ([7, 0, 0, 14], 7, False),
+        ([3, 2], 5, True),  # every linear f of full degree splits
+        ([4], 5, False),  # a constant has degree below 1
+    ],
+)
+def test_splits_completely_pinned_cases(coeffs, p, want):
+    f = IntegerPolynomial(coeffs)
+    assert splits_completely(f, p) is want
+    assert sympy_splits(f, p) is want
+
+
+def test_only_the_torsion_side_builds_a_prime_field(monkeypatch):
+    # the splitting side runs on the kernel, so the sweeps that only split
+    # never test p for primality; verify builds F_p once per good prime
+    tested = []
+    is_prime = ff.is_prime
+    monkeypatch.setattr(ff, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    density_report(CUBE, 3000)
+    spl_set(CUBE, 3000)
+    inclusion_check(CUBE, IntegerPolynomial([3, 0, 1]), 3000)
+    assert tested == []
+    verify_law(CUBE, 3000)
+    assert tested == good_primes(CUBE, 3000)
 
 
 def test_splitting_type_and_fast_path_agree():
