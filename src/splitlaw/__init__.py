@@ -48,7 +48,6 @@ from .poly import (
     Polynomial,
     SplittingType,
     factorize,
-    is_squarefree,
     poly_gcd,
     roots_in,
 )

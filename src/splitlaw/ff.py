@@ -408,10 +408,6 @@ class ExtFieldContext:
         self._frob = tuple(self._pad(r) for r in rows)
 
     @property
-    def char(self) -> int:
-        return self.base.p
-
-    @property
     def order(self) -> int:
         return self.base.p ** self.k
 

@@ -1,5 +1,9 @@
 """Hyperelliptic curves y^2 = f(x) of odd degree and their Jacobian group law.
 
+The curve constructor checks that f is monic of odd degree at least 3. That
+f is squarefree is the caller's job: two_torsion_points reads it off the
+factorization's multiplicities and refuses a repeated factor.
+
 Divisor classes are stored in Mumford representation: a pair (u, v) with u
 monic, deg v < deg u <= g, and u | v^2 - f. The identity is (1, 0). The
 constructor does not check these conditions; its callers build pairs that
@@ -17,35 +21,28 @@ from __future__ import annotations
 
 import functools
 
-from .errors import (
-    BadCharacteristic,
-    CurveMismatch,
-    EvenDegree,
-    NotMonic,
-    NotSquarefree,
-    UnsupportedDegree,
-)
-from .poly import Polynomial, is_squarefree
+from .errors import CurveMismatch, EvenDegree, NotMonic, UnsupportedDegree
+from .poly import Polynomial
 from .poly import _add_raw, _divmod_raw, _exact_div_raw, _monic_raw, _mul_raw, _neg_raw
 from .poly import _sub_raw, _xgcd_raw
 
 
 class HyperellipticCurve:
-    """y^2 = f(x) with f monic squarefree of odd degree 2g+1, char != 2."""
+    """y^2 = f(x) with f monic of odd degree 2g+1 over a field of odd characteristic.
+
+    The constructor does not check that f is squarefree; two_torsion_points
+    does, from the factorization of f.
+    """
 
     __slots__ = ("f", "genus")
 
     def __init__(self, f: Polynomial):
-        if f.ctx.char == 2:
-            raise BadCharacteristic("curves require characteristic != 2")
         if f.is_zero or f.degree % 2 == 0:
             raise EvenDegree(f"degree {f.degree} is not odd")
         if f.degree < 3:
             raise UnsupportedDegree("degree must be at least 3 for genus >= 1")
         if not f.is_monic:
             raise NotMonic("curve polynomial must be monic")
-        if not is_squarefree(f):
-            raise NotSquarefree("curve polynomial has a repeated root")
         self.f = f
         self.genus = (f.degree - 1) // 2
 

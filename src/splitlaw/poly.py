@@ -213,13 +213,6 @@ class Polynomial:
         other = self._check(other)
         return Polynomial._raw(self.ctx, _sub_raw(self.ctx, self.coeffs, other.coeffs))
 
-    def __divmod__(self, other):
-        other = self._check(other)
-        if other.is_zero:
-            raise ZeroDivisor("division by the zero polynomial")
-        q, r = _divmod_raw(self.ctx, self.coeffs, other.coeffs)
-        return Polynomial._raw(self.ctx, q), Polynomial._raw(self.ctx, r)
-
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
         modulus = self._check(modulus)
         if modulus.is_zero:
@@ -230,9 +223,6 @@ class Polynomial:
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         return Polynomial._raw(self.ctx, _monic_raw(self.ctx, self.coeffs))
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial._raw(self.ctx, _deriv_raw(self.ctx, self.coeffs))
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -336,7 +326,7 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Gcds and squarefreeness
+# Gcds
 # ---------------------------------------------------------------------------
 
 
@@ -346,21 +336,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero and b.is_zero:
         raise UndefinedGcd("gcd(0, 0) is undefined")
     return Polynomial._raw(a.ctx, _gcd_raw(a.ctx, a.coeffs, b.coeffs))
-
-
-def is_squarefree(f: Polynomial) -> bool:
-    """True iff gcd(f, f') = 1, i.e. f has no repeated irreducible factor.
-
-    Valid over any finite field: an irreducible factor never has zero
-    derivative, so gcd(f, f') = 1 characterizes squarefree f even when
-    deg f >= char (f' = 0 makes the gcd f itself, correctly failing).
-    """
-    if f.is_zero:
-        raise ValueError("squarefreeness of the zero polynomial is undefined")
-    d = f.derivative()
-    if d.is_zero:
-        return f.degree == 0
-    return poly_gcd(f, d).degree == 0
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,14 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
     from subsets of the irreducible factors of f; that u divides f rests on
     factorize's multiply-back check. Each element is also doubled to the
     identity, which holds for any monic u with v = 0, so it checks the
-    group law rather than membership. Rank is n - 1.
+    group law rather than membership. Rank is n - 1. A repeated factor of f
+    raises NotSquarefree: HyperellipticCurve leaves that check to here.
     """
     f = C.f
     g = C.genus
     fact = factorize(f, seed)
     if any(m > 1 for _, m in fact.factors):
-        raise NotSquarefree("curve polynomial has a repeated factor")
+        raise NotSquarefree("curve polynomial has a repeated root")
     ctx = f.ctx
     parts = [p.coeffs for p, _ in fact.factors]
     n = len(parts)

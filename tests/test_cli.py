@@ -450,6 +450,14 @@ def test_a_given_bad_prime_is_refused_input(capsys, command):
     assert err == "error: 9 is not prime\n" and out == ""
 
 
+@pytest.mark.parametrize("text,p", [("x^3-2", "3"), ("x^3+1", "3"), ("x^3+3x^2+3x+1", "5")])
+def test_torsion_refuses_a_repeated_root(capsys, text, p):
+    # (x+1)^3 mod p: the refusal comes from the factorization's multiplicities
+    status, out, err = run_cli(capsys, "torsion", text, "-p", p)
+    assert status == 1
+    assert err == "error: NotSquarefree: curve polynomial has a repeated root\n" and out == ""
+
+
 def test_argparse_misuse_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["factor", "x^3-2"])  # missing required -p

@@ -17,16 +17,18 @@ from hypothesis import strategies as st
 
 from splitlaw import (
     ExtFieldContext,
+    HyperellipticCurve,
     IntegerPolynomial,
+    NotSquarefree,
     Polynomial,
     PrimeFieldContext,
     UndefinedGcd,
     ZeroDivisor,
     ext_new,
     factorize,
-    is_squarefree,
     poly_gcd,
     roots_in,
+    two_torsion_points,
 )
 from splitlaw import ff
 from splitlaw.poly import _add_raw, _divmod_raw, _exact_div_raw, _gcd_raw, _mul_raw
@@ -72,17 +74,11 @@ def test_ring_axioms_and_division(p, da, db, dc, seed):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert A - A == Polynomial.zero(ctx)
-    if not B.is_zero:
-        q, r = divmod(A, B)
-        assert a == add(mul(q.coeffs, b), r.coeffs)
-        assert r.is_zero or r.degree < B.degree
+    if b:
+        q, r = _divmod_raw(ctx, a, b)
+        assert a == add(mul(q, b), r)
+        assert len(r) < len(b)
         assert _divmod_raw(ctx, mul(a, b), b) == (a, ())
-
-
-def test_division_by_zero_raises():
-    ctx = PrimeFieldContext(7)
-    with pytest.raises(ZeroDivisor):
-        divmod(Polynomial(ctx, [1, 1]), Polynomial.zero(ctx))
 
 
 @pytest.mark.parametrize("e", [0, 5])
@@ -170,7 +166,7 @@ def test_pow_mod_agrees_with_naive_power():
     ctx = PrimeFieldContext(13)
     f = Polynomial(ctx, [2, 0, 1, 1])
     x = Polynomial.x(ctx)
-    assert x.pow_mod(50, f) == divmod(Polynomial(ctx, [0] * 50 + [1]), f)[1]
+    assert x.pow_mod(50, f).coeffs == _divmod_raw(ctx, (0,) * 50 + (1,), f.coeffs)[1]
     assert x.pow_mod(0, f) == Polynomial(ctx, [1])
 
 
@@ -186,32 +182,26 @@ def test_evaluate_matches_horner_definition():
 # ---------------------------------------------------------------------------
 
 
-def test_is_squarefree_at_degree_at_least_char():
-    ctx = PrimeFieldContext(5)
-    assert not is_squarefree(Polynomial(ctx, [1, 0, 0, 0, 0, 1]))  # (x+1)^5
-    assert is_squarefree(Polynomial(ctx, [0, -1, 0, 0, 0, 1]))  # x^5 - x
-
-
-def test_is_squarefree_detects_repeated_factors():
-    ctx = PrimeFieldContext(7)
-    f = Polynomial(ctx, [-2, 0, 0, 1])
-    assert is_squarefree(f)
-    g = Polynomial(ctx, [3, 7, 5, 1])  # (x + 1)^2 (x + 3)
-    assert not is_squarefree(g)
-
-
 @given(
     p=st.sampled_from([3, 5, 7]),
-    tail=st.lists(st.integers(0, 6), min_size=1, max_size=9),
-    lead=st.integers(1, 2),
+    tail=st.lists(st.integers(0, 6), min_size=3, max_size=9).filter(lambda t: len(t) % 2),
 )
-@example(p=5, tail=[1, 0, 0, 0, 0], lead=1)  # (x+1)^5
-@example(p=3, tail=[2, 0, 0], lead=1)  # (x+2)^3, zero derivative
+@example(p=5, tail=[1, 0, 0, 0, 0])  # (x+1)^5, zero derivative
+@example(p=3, tail=[2, 0, 0])  # (x+2)^3, zero derivative
+@example(p=7, tail=[3, 0, 5])  # (x+1)^2 (x+3)
+@example(p=7, tail=[0, 0, 0])  # x^3
+@example(p=5, tail=[0, 4, 0, 0, 0])  # x^5 - x, squarefree at degree = char
+@example(p=7, tail=[5, 0, 0])  # x^3 - 2, irreducible
 @settings(max_examples=80, deadline=None)
-def test_is_squarefree_agrees_with_factorize(p, tail, lead):
-    f = Polynomial(PrimeFieldContext(p), tail + [lead])
-    expected = all(m == 1 for _, m in factorize(f, seed=0).factors)
-    assert is_squarefree(f) == expected
+def test_two_torsion_refuses_exactly_the_non_squarefree_curves(p, tail):
+    # sympy's factor_list, not Poly.is_sqf, which calls x^5 + 1 over F_5 squarefree
+    pairs = sympy_type(tail + [1], p)
+    C = HyperellipticCurve(Polynomial(PrimeFieldContext(p), tail + [1]))
+    if any(m > 1 for _, m in pairs):
+        with pytest.raises(NotSquarefree):
+            two_torsion_points(C, seed=0)
+    else:
+        assert len(two_torsion_points(C, seed=0)) == 2 ** (len(pairs) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +263,7 @@ def _exhaustive_irreducible(f):
         return True
     for d in range(1, f.degree // 2 + 1):
         for tail in itertools.product(range(ctx.order), repeat=d):
-            g = Polynomial(ctx, list(tail) + [1])
-            if divmod(f, g)[1].is_zero:
+            if not _divmod_raw(ctx, f.coeffs, tail + (1,))[1]:
                 return False
     return True
 

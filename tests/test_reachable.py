@@ -35,12 +35,13 @@ RUNS = [
     (["verify", "x^4-2", "--bound", "60"], 1),  # even degree
     (["frobenius", "x^5-x-1", "--bound", "30", "--ext-cap", "1"], 1),  # field too large
     (["verify", "x^3-2"], 1),  # argparse misuse: no --bound
+    (["torsion", "x^3-2", "-p", "3"], 1),  # (x+1)^3 mod 3: repeated root
+    (["torsion", "x^3+1", "-p", "3"], 1),  # the same cube, from coefficients already reduced
 ]
 
 # name: why no command reaches it
 ALLOWED = {
     "ExtFieldContext.element": "int conversion over F_{p^k}; commands build F_p polynomials",
-    "ExtFieldContext.char": "read by HyperellipticCurve, which commands build over F_p only",
     "PrimeFieldContext.add": "Cantor add sums v coefficients; commands add only v = 0 classes",
 }
 

@@ -37,7 +37,7 @@ from splitlaw import (
     two_torsion_points,
     verify_law,
 )
-from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, ff, reciprocity
+from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, ff, poly, reciprocity
 
 X = sympy.Symbol("x")
 CUBE = IntegerPolynomial([-2, 0, 0, 1])  # x^3 - 2
@@ -287,6 +287,16 @@ def test_only_the_torsion_side_builds_a_prime_field(monkeypatch):
     assert tested == []
     verify_law(CUBE, 3000)
     assert tested == good_primes(CUBE, 3000)
+
+
+def test_verify_takes_one_derivative_per_prime(monkeypatch):
+    # squarefreeness is read off factorize's decomposition; the curve
+    # constructor takes no second derivative
+    calls = []
+    deriv = poly._deriv_raw
+    monkeypatch.setattr(poly, "_deriv_raw", lambda ctx, a: calls.append(a) or deriv(ctx, a))
+    verify_law(CUBE, 3000)
+    assert len(calls) == len(good_primes(CUBE, 3000)) == 428
 
 
 def test_splitting_type_and_fast_path_agree():

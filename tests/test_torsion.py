@@ -94,9 +94,9 @@ def test_two_torsion_subgroup_is_closed():
 
 def test_two_torsion_requires_squarefree_curve():
     ctx = PrimeFieldContext(7)
-    f = Polynomial(ctx, [5, 11, 7, 1])  # (x + 1)^2 (x + 5)
+    C = HyperellipticCurve(Polynomial(ctx, [5, 11, 7, 1]))  # (x + 1)^2 (x + 5)
     with pytest.raises(NotSquarefree):
-        HyperellipticCurve(f)
+        two_torsion_points(C, seed=0)
 
 
 # ---------------------------------------------------------------------------
