@@ -62,9 +62,9 @@ from .torsion import (
     BlowupChart,
     TwoTorsionSubgroup,
     blowup_chain,
+    cycle_lengths,
     frobenius_permutation,
     permutation_matrix,
-    permutation_order,
     two_torsion_points,
 )
 from .reciprocity import (

@@ -5,7 +5,9 @@ disc f) splits completely in the splitting field of f exactly when f mod p
 factors into distinct linear polynomials, and the law under test states this
 happens exactly when the rational 2-torsion of Jac(y^2 = f mod p) has full
 rank 2g. The sweep computes the two sides by disjoint code paths: the left
-by testing whether f divides x^p - x (no factorization; x^p - x has no
+by the discriminant character first (where disc f is a non-square mod p,
+Stickelberger's theorem rules out complete splitting) and otherwise by
+testing whether f divides x^p - x (no factorization; x^p - x has no
 repeated factor, so divisibility also excludes repeated roots), the right
 by building the whole 2-torsion subgroup through Cantor arithmetic. Their
 agreement per prime is the verified instance of the law.
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +41,7 @@ from .errors import (
 from .jacobian import HyperellipticCurve
 from .poly import IntegerPolynomial, SplittingType
 from .torsion import (
-    frobenius_permutation, permutation_matrix, permutation_order, two_torsion_points
+    cycle_lengths, frobenius_permutation, permutation_matrix, two_torsion_points
 )
 
 DEFAULT_SEED = 271828  # published default; all randomness derives from it
@@ -51,8 +55,8 @@ def sieve_primes(bound: int) -> list[int]:
     flags[0] = flags[1] = 0
     for n in range(2, int(bound**0.5) + 1):
         if flags[n]:
-            flags[n * n :: n] = bytearray(len(flags[n * n :: n]))
-    return [n for n in range(2, bound + 1) if flags[n]]
+            flags[n * n :: n] = bytes(len(range(n * n, bound + 1, n)))
+    return list(itertools.compress(range(bound + 1), flags))
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +123,21 @@ def discriminant(f: IntegerPolynomial) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _split_primes(bound: int, *polys: IntegerPolynomial) -> tuple[list[int], list[int]]:
-    """(good, bad) primes <= bound; bad means 2 or a divisor of some disc."""
-    disc = 1
-    for f in polys:
-        disc *= discriminant(f)
+def _split_primes(
+    bound: int, *polys: IntegerPolynomial
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """(good, bad) primes <= bound and the disc of each polynomial.
+
+    Bad means 2 or a divisor of some disc.
+    """
+    discs = tuple(map(discriminant, polys))
+    disc = math.prod(discs)
     if disc == 0:
         raise ZeroDiscriminant("polynomial has a repeated root over the rationals")
     good, bad = [], []
     for p in sieve_primes(bound):
         (bad if p == 2 or disc % p == 0 else good).append(p)
-    return good, bad
+    return good, bad, discs
 
 
 def good_primes(f: IntegerPolynomial, bound: int) -> list[int]:
@@ -151,6 +159,17 @@ def splits_completely(f: IntegerPolynomial, p: int) -> bool:
     if len(fbar) != len(f.coeffs) or len(fbar) < 2:
         return False
     return len(fbar) == 2 or ff._ppowmod((0, 1), p, fbar, p) == (0, 1)
+
+
+def _split_at(f: IntegerPolynomial, disc: int, p: int) -> tuple[int, bool]:
+    """(disc f / p) and whether f splits completely mod p, at a good prime p.
+
+    By Stickelberger's theorem (disc f / p) = (-1)^(deg f - r) for the r
+    irreducible factors of f mod p, so a non-square disc f rules out
+    complete splitting; x^p mod f runs only where disc f is a square.
+    """
+    chi = 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+    return chi, chi == 1 and splits_completely(f, p)
 
 
 @dataclass(frozen=True)
@@ -243,12 +262,17 @@ def _sweep(task, primes: list[int], workers: int = 1) -> tuple:
         return tuple(pool.map(task, primes, chunksize=chunk))
 
 
-def _prime_record(f: IntegerPolynomial, genus: int, seed, p: int) -> PrimeRecord:
-    """Both sides of the law at p; the two sides share no code path."""
+def _prime_record(f: IntegerPolynomial, genus: int, disc: int, seed, p: int) -> PrimeRecord:
+    """Both sides of the law at p; the two sides share no code path.
+
+    The torsion side's factor count is checked against (disc f / p) by
+    Stickelberger's theorem; the rank itself never depends on it.
+    """
     with at_prime(seed, p) as derived:
-        fbar = f.reduce_mod(p)
-        split = splits_completely(f, p)
-        sub = two_torsion_points(HyperellipticCurve(fbar), seed=derived)
+        chi, split = _split_at(f, disc, p)
+        sub = two_torsion_points(HyperellipticCurve(f.reduce_mod(p)), seed=derived)
+        if chi != (-1) ** (f.degree - sub.n):
+            raise RuntimeError(f"{sub.n} factors of f mod p contradict (disc f / p) = {chi}")
     law = split == (sub.rank == 2 * genus)
     return PrimeRecord(
         p=p,
@@ -272,8 +296,8 @@ def verify_law(
     so reports are reproducible for a fixed seed.
     """
     genus = _validate_law_input(f)
-    good, bad = _split_primes(bound, f)
-    records = _sweep(functools.partial(_prime_record, f, genus, seed), good, workers)
+    good, bad, (disc,) = _split_primes(bound, f)
+    records = _sweep(functools.partial(_prime_record, f, genus, disc, seed), good, workers)
     spl = tuple(r.p for r in records if r.splits_completely)
     verdict = all(r.law_consistent for r in records)
     density = Fraction(len(spl), len(good)) if good else None
@@ -309,16 +333,26 @@ class FrobeniusRecord:
     splits_completely: bool
 
 
-def _frobenius_record(f: IntegerPolynomial, seed, cap: int, p: int) -> FrobeniusRecord:
-    """Frobenius at p as a permutation of the roots and as a matrix."""
+def _frobenius_record(
+    f: IntegerPolynomial, disc: int, seed, cap: int, p: int
+) -> FrobeniusRecord:
+    """Frobenius at p as a permutation of the roots and as a matrix.
+
+    The sign of the permutation must be (disc f / p), by Stickelberger's
+    theorem; that checks the roots, their field and their order together.
+    """
     with at_prime(seed, p) as derived:
+        chi, split = _split_at(f, disc, p)
         perm = frobenius_permutation(f.reduce_mod(p), p, derived, cap=cap)
+        cycles = cycle_lengths(perm)
+        if chi != (-1) ** (len(perm) - len(cycles)):
+            raise RuntimeError(f"Frobenius permutation {perm} has sign {-chi}")
         M = permutation_matrix(perm)
-        order = permutation_order(perm)
+        order = math.lcm(*cycles)
         return FrobeniusRecord(
             p=p, splitting_degree=order, matrix=tuple(map(tuple, M.to_lists())),
             order=M.order(), permutation=tuple(perm), permutation_order=order,
-            is_identity=M.is_identity, splits_completely=splits_completely(f, p),
+            is_identity=M.is_identity, splits_completely=split,
         )
 
 
@@ -327,14 +361,15 @@ def frobenius_sweep(
 ) -> tuple[FrobeniusRecord, ...]:
     """Frobenius at every good prime <= bound, by ascending prime."""
     _validate_law_input(f)
-    record = functools.partial(_frobenius_record, f, seed, cap)
-    return _sweep(record, good_primes(f, bound))
+    good, _, (disc,) = _split_primes(bound, f)
+    return _sweep(functools.partial(_frobenius_record, f, disc, seed, cap), good)
 
 
 def spl_set(f: IntegerPolynomial, bound: int) -> list[int]:
     """Ascending good primes <= bound where f splits completely."""
     _validate_law_input(f)
-    return [p for p in good_primes(f, bound) if splits_completely(f, p)]
+    good, _, (disc,) = _split_primes(bound, f)
+    return [p for p in good if _split_at(f, disc, p)[1]]
 
 
 @dataclass(frozen=True)
@@ -363,9 +398,9 @@ def inclusion_check(
         if poly.degree < 2:
             raise UnsupportedDegree("inclusion test requires degree >= 2")
         _check_heuristic_irreducible(poly)
-    good, _ = _split_primes(bound, f, h)
+    good, _, (disc_f, disc_h) = _split_primes(bound, f, h)
     exceptions = tuple(
-        p for p in good if splits_completely(f, p) and not splits_completely(h, p)
+        p for p in good if _split_at(f, disc_f, p)[1] and not _split_at(h, disc_h, p)[1]
     )
     return InclusionReport(
         holds=not exceptions,
@@ -399,10 +434,10 @@ def density_report(
     if group_order is not None and group_order < 1:
         raise ValueError("group order must be positive")
     _validate_law_input(f)
-    good = good_primes(f, bound)
+    good, _, (disc,) = _split_primes(bound, f)
     if not good:
         raise EmptyRange(f"no good primes up to {bound}")
-    split = [p for p in good if splits_completely(f, p)]
+    split = [p for p in good if _split_at(f, disc, p)[1]]
     observed = Fraction(len(split), len(good))
     deviation = None
     if group_order is not None:

@@ -229,10 +229,14 @@ def permutation_matrix(perm: list[int]) -> BinaryMatrix:
     return M
 
 
-def permutation_order(perm: list[int]) -> int:
-    """Order of a permutation given as a list of image indices."""
+def cycle_lengths(perm: list[int]) -> list[int]:
+    """Lengths of the cycles of a permutation given as a list of image indices.
+
+    Their lcm is the order of the permutation, and its sign is
+    (-1)^(len(perm) - their count).
+    """
     seen = [False] * len(perm)
-    result = 1
+    lengths = []
     for start in range(len(perm)):
         if seen[start]:
             continue
@@ -242,8 +246,8 @@ def permutation_order(perm: list[int]) -> int:
             seen[i] = True
             i = perm[i]
             length += 1
-        result = math.lcm(result, length)
-    return result
+        lengths.append(length)
+    return lengths
 
 
 # ---------------------------------------------------------------------------

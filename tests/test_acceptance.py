@@ -9,6 +9,7 @@ subprocess output.
 """
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -26,13 +27,13 @@ from splitlaw import (
     PrimeFieldContext,
     add,
     blowup_chain,
+    cycle_lengths,
     discriminant,
     density_report,
     frobenius_permutation,
     good_primes,
     inclusion_check,
     permutation_matrix,
-    permutation_order,
     spl_set,
     splits_completely,
     two_torsion_points,
@@ -201,7 +202,7 @@ def test_criterion_6_frobenius_representation():
         perm = frobenius_permutation(fbar, p, seed=1)
         M = permutation_matrix(perm)
         assert M.is_invertible
-        assert M.order() == permutation_order(perm)
+        assert M.order() == math.lcm(*cycle_lengths(perm))
         assert M.is_identity == (p in split_primes) == splits_completely(CUBE, p)
         seen.add(M)
     # close the observed set under multiplication: must stay within a group

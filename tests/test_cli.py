@@ -442,6 +442,37 @@ def test_internal_failure_exits_three(
     assert out == "" and not target.exists()
 
 
+def test_torsion_factor_count_is_checked_against_the_discriminant(monkeypatch, capsys):
+    # one factor too many flips (-1)^(deg f - n) away from (disc f / p) at every prime
+    real = reciprocity.two_torsion_points
+
+    def one_factor_more(C, seed):
+        sub = real(C, seed=seed)
+        return dataclasses.replace(sub, n=sub.n + 1)
+
+    monkeypatch.setattr(reciprocity, "two_torsion_points", one_factor_more)
+    status, out, err = run_cli(capsys, "verify", "x^3-2", "--bound", "200", "--seed", "11")
+    assert status == 3 and out == ""
+    assert err.startswith("error: internal: RuntimeError: ")
+    assert err.endswith("(at p = 5, seed 11:5)\n")
+
+
+def test_frobenius_sign_is_checked_against_the_discriminant(monkeypatch, capsys):
+    # swapping two images composes with a transposition, so the sign flips
+    real = reciprocity.frobenius_permutation
+
+    def swapped(*args, **kwargs):
+        perm = real(*args, **kwargs)
+        perm[0], perm[1] = perm[1], perm[0]
+        return perm
+
+    monkeypatch.setattr(reciprocity, "frobenius_permutation", swapped)
+    status, out, err = run_cli(capsys, "frobenius", "x^5-x-1", "--bound", "50", "--seed", "11")
+    assert status == 3 and out == ""
+    assert err.startswith("error: internal: RuntimeError: ")
+    assert err.endswith("(at p = 3, seed 11:3)\n")
+
+
 @pytest.mark.parametrize("command", ["factor", "torsion"])
 def test_a_given_bad_prime_is_refused_input(capsys, command):
     # a ValueError exits 3 only from the work at one prime; -p 9 fails before it

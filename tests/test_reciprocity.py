@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitlaw import (
@@ -257,6 +257,29 @@ def test_splits_completely_matches_sympy_on_products_of_linears(roots, lead, p):
     assert splits_completely(f, p) == sympy_splits(f, p)
 
 
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=2, max_size=9),
+    roots=st.booleans(),
+    p=st.sampled_from(SPLIT_PRIMES),
+)
+@settings(max_examples=150, deadline=None)
+def test_discriminant_character_gate_matches_sympy(coeffs, roots, p):
+    # monic f of degree 2-9, either random or prod (x - r) so that True occurs at large p
+    if roots:
+        f = [1]
+        for r in coeffs:
+            f = [a - r * b for a, b in zip([0, *f], [*f, 0])]
+    else:
+        f = coeffs + [1]
+    f = IntegerPolynomial(f)
+    disc = discriminant(f)
+    assume(disc % p)
+    chi, split = reciprocity._split_at(f, disc, p)
+    assert split == splits_completely(f, p) == sympy_splits(f, p)
+    r = len(sympy.Poly(list(reversed(f.coeffs)), X, modulus=p).factor_list()[1])
+    assert chi == (-1) ** (f.degree - r)  # Stickelberger
+
+
 @pytest.mark.parametrize(
     "coeffs,p,want",
     [
@@ -287,6 +310,17 @@ def test_only_the_torsion_side_builds_a_prime_field(monkeypatch):
     assert tested == []
     verify_law(CUBE, 3000)
     assert tested == good_primes(CUBE, 3000)
+
+
+def test_only_square_discriminants_reach_the_kernel_power(monkeypatch):
+    # (disc f / p) = -1 answers False by Stickelberger before x^p mod f runs
+    calls = []
+    ppowmod = ff._ppowmod
+    monkeypatch.setattr(ff, "_ppowmod", lambda *a: calls.append(a[3]) or ppowmod(*a))
+    report = density_report(CUBE, 3000)
+    disc = discriminant(CUBE)
+    squares = [p for p in good_primes(CUBE, 3000) if pow(disc, (p - 1) // 2, p) == 1]
+    assert calls == squares and len(squares) == 207 and report.good_count == 428
 
 
 def test_verify_takes_one_derivative_per_prime(monkeypatch):
