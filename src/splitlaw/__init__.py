@@ -30,7 +30,6 @@ from .errors import (
     NotSquarefree,
     PolynomialSyntaxError,
     SplitlawError,
-    UndefinedGcd,
     UnsupportedDegree,
     ZeroDiscriminant,
     ZeroDivisor,
@@ -48,7 +47,6 @@ from .poly import (
     Polynomial,
     SplittingType,
     factorize,
-    poly_gcd,
     roots_in,
 )
 from .jacobian import (

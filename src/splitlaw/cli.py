@@ -199,12 +199,18 @@ def _record_json(r) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
-    (f,) = polys
-    p = config.prime
+def _reduce_mod(f: IntegerPolynomial, p: int) -> Polynomial:
+    """f mod p, refused when it vanishes identically there."""
     fbar = f.reduce_mod(p)
     if fbar.is_zero:
         raise SplitlawError(f"polynomial vanishes identically mod {p}")
+    return fbar
+
+
+def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
+    (f,) = polys
+    p = config.prime
+    fbar = _reduce_mod(f, p)
     with reciprocity.at_prime(config.seed, p) as seed:
         fact = factorize(fbar, seed)
     st = fact.splitting_type()
@@ -232,7 +238,7 @@ def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
 def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
     (f,) = polys
     p = config.prime
-    fbar = f.reduce_mod(p)
+    fbar = _reduce_mod(f, p)
     curve = jacobian.HyperellipticCurve(fbar)
     with reciprocity.at_prime(config.seed, p) as seed:
         sub = torsion.two_torsion_points(curve, seed=seed)
@@ -449,6 +455,8 @@ def run(config: RunConfig) -> int:
             raise SplitlawError(f"bound must be below 2**31, got {config.bound}")
         if config.workers < 1:
             raise SplitlawError(f"workers must be >= 1, got {config.workers}")
+        if config.ext_cap < 1:
+            raise SplitlawError(f"ext-cap must be >= 1, got {config.ext_cap}")
         polys = [parse_polynomial(text) for text in config.polynomials]
         for text, f in zip(config.polynomials, polys):
             if not f.is_monic:

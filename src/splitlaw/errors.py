@@ -17,10 +17,6 @@ class ZeroDivisor(SplitlawError):
     """Division by the zero polynomial."""
 
 
-class UndefinedGcd(SplitlawError):
-    """gcd(0, 0) requested."""
-
-
 class UnsupportedDegree(SplitlawError):
     """Polynomial degree outside the supported range for this operation."""
 

@@ -356,9 +356,6 @@ class PrimeFieldContext:
             raise NonInvertible(f"0 has no inverse in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def frobenius(self, a: int) -> int:
-        return a % self.p
-
     # -- conversions --------------------------------------------------------
     def element(self, v: int) -> int:
         return int(v) % self.p

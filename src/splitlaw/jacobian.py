@@ -37,7 +37,9 @@ class HyperellipticCurve:
     __slots__ = ("f", "genus")
 
     def __init__(self, f: Polynomial):
-        if f.is_zero or f.degree % 2 == 0:
+        if f.is_zero:
+            raise UnsupportedDegree("curve polynomial is zero")
+        if f.degree % 2 == 0:
             raise EvenDegree(f"degree {f.degree} is not odd")
         if f.degree < 3:
             raise UnsupportedDegree("degree must be at least 3 for genus >= 1")

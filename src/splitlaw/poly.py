@@ -15,8 +15,9 @@ splitting over F_p, on raw coefficient tuples, wrapping Polynomial only at
 the boundary. The randomness is an explicit seed, and factors are returned
 in a canonical order, so results are reproducible.
 
-Root finding takes f with F_p coefficients and a field F_q, q = p^k, and
-has a descent of its own. It isolates one root of each F_p factor of
+Root finding takes f with F_p coefficients and a field F_q, q = p^k, always
+an extension context, k >= 1 (F_p itself is ext_new(p, 1)), and has a
+descent of its own. It isolates one root of each F_p factor of
 gcd(x^q - x, f) by trace splitting over F_q and reads the others off its
 Frobenius orbit r -> r^p (von zur Gathen & Gerhard, Modern Computer
 Algebra, 14.3-14.5). The absolute trace Tr(a*x + b) takes F_p values at
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import ff
-from .errors import UndefinedGcd, ZeroDivisor
+from .errors import ZeroDivisor
 
 
 def _norm(coeffs: list, zero) -> tuple:
@@ -180,10 +181,6 @@ class Polynomial:
     def zero(cls, ctx) -> "Polynomial":
         return cls._raw(ctx, ())
 
-    @classmethod
-    def x(cls, ctx) -> "Polynomial":
-        return cls._raw(ctx, (ctx.zero, ctx.one))
-
     # -- structure ----------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -202,27 +199,12 @@ class Polynomial:
         return (self.degree, self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
-    def _check(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise ValueError("polynomials from different contexts")
-        return other
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return Polynomial._raw(self.ctx, _sub_raw(self.ctx, self.coeffs, other.coeffs))
-
     def pow_mod(self, e: int, modulus: "Polynomial") -> "Polynomial":
-        modulus = self._check(modulus)
+        if modulus.ctx != self.ctx:
+            raise ValueError("polynomials from different contexts")
         if modulus.is_zero:
             raise ZeroDivisor("reduction modulo the zero polynomial")
         return Polynomial._raw(self.ctx, _powmod_raw(self.ctx, self.coeffs, e, modulus.coeffs))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        return Polynomial._raw(self.ctx, _monic_raw(self.ctx, self.coeffs))
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -323,19 +305,6 @@ class IntegerPolynomial:
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Gcds
-# ---------------------------------------------------------------------------
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd; undefined when both arguments are zero."""
-    a._check(b)
-    if a.is_zero and b.is_zero:
-        raise UndefinedGcd("gcd(0, 0) is undefined")
-    return Polynomial._raw(a.ctx, _gcd_raw(a.ctx, a.coeffs, b.coeffs))
 
 
 @dataclass(frozen=True)
@@ -465,24 +434,22 @@ def _trace_split(ctx, g: tuple, xs: list, rng: random.Random) -> tuple:
     the roots r and r^p = -r have traces t and -t, one quadratic character.
     Gives up after 128 draws.
     """
-    ext = isinstance(ctx, ff.ExtFieldContext)
-    p, k = (ctx.base.p, ctx.k) if ext else (ctx.p, 1)
+    p = ctx.base.p
     exponent = (p - 1) // 2
     one = (ctx.one,)
     n = len(g)
     for _ in range(128):
         a, b = ctx.rand_raw(rng), ctx.rand_raw(rng)
-        t = [[0] * k for _ in range(max(map(len, xs)))]  # T's coefficients as F_p vectors
+        t = [[0] * ctx.k for _ in range(max(map(len, xs)))]  # T's coefficients as F_p vectors
         for x_i in xs:
-            av, bv = (a, b) if ext else ((a,), (b,))
             for row, c in zip(t, x_i):
                 if c:
-                    for j, e in enumerate(av):
+                    for j, e in enumerate(a):
                         row[j] += c * e
-            for j, e in enumerate(bv):
+            for j, e in enumerate(b):
                 t[0][j] += e
             a, b = ctx.frobenius(a), ctx.frobenius(b)
-        T = _norm([tuple(c % p for c in row) if ext else row[0] % p for row in t], ctx.zero)
+        T = _norm([tuple(c % p for c in row) for row in t], ctx.zero)
         for cand in (T, _sub_raw(ctx, _powmod_raw(ctx, T, exponent, g), one)):
             part = _gcd_raw(ctx, cand, g)
             if 1 < len(part) < n:
@@ -490,10 +457,10 @@ def _trace_split(ctx, g: tuple, xs: list, rng: random.Random) -> tuple:
     raise RuntimeError("trace splitting failed to converge")
 
 
-def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list:
-    """All distinct roots in ctx of f over the prime field F_p beneath ctx.
+def roots_in(f: Polynomial, ctx: ff.ExtFieldContext, seed) -> list:
+    """All distinct roots in ctx = F_q, q = p^k, of f over the prime field F_p.
 
-    h = gcd(x^q - x, f) is formed over F_p, q = p^k, with the table
+    h = gcd(x^q - x, f) is formed over F_p, with the table
     X_i = x^(p^i) mod h, i < k. Then, until h = 1, one root r of h is
     isolated over ctx by trace splitting, always keeping the smaller part
     of a split: each split powers Tr(a*x + b) by (p - 1)/2, not a random
@@ -501,25 +468,25 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list:
     polynomial m are its Frobenius orbit r, r^p, r^(p^2), ..., and m is
     divided out of h. The descent draws from random.Random(seed), but the
     roots are returned as raw values in ascending order, so the result does
-    not depend on the seed. f must have F_p coefficients.
+    not depend on the seed. f must have F_p coefficients, and ctx is an
+    extension context even at k = 1: F_p is ext_new(p, 1), roots 1-tuples.
     """
+    if not isinstance(ctx, ff.ExtFieldContext):
+        raise ValueError("roots_in needs an extension context; take F_p as ext_new(p, 1)")
     if f.is_zero:
         raise ValueError("the zero polynomial has every element as a root")
-    ext = isinstance(ctx, ff.ExtFieldContext)
-    base = ctx.base if ext else ctx
-    if f.ctx != base:
+    if f.ctx != ctx.base:
         raise ValueError("f must have coefficients in the prime field of ctx")
-    f = f.monic()
-    x = Polynomial.x(base)
-    h = poly_gcd(x.pow_mod(ctx.order, f) - x, f).coeffs
-    p = base.p
-    xs = [(0, 1)]  # modulo the first h, which every later h divides
-    while len(xs) < (ctx.k if ext else 1) and len(h) > 2:
+    p = ctx.base.p
+    x = Polynomial._raw(f.ctx, (0, 1))
+    h = ff._pgcd(ff._psub(x.pow_mod(ctx.order, f).coeffs, x.coeffs, p), f.coeffs, p)
+    xs = [x.coeffs]  # modulo the first h, which every later h divides
+    while len(xs) < ctx.k and len(h) > 2:
         xs.append(ff._ppowmod(xs[-1], p, h, p))
     rng = random.Random(seed)
     roots = []
     while len(h) > 1:
-        g = tuple(ctx.embed(c) for c in h) if ext else h
+        g = tuple(ctx.embed(c) for c in h)
         while len(g) > 2:
             part = _trace_split(ctx, g, xs, rng)
             g = part if 2 * len(part) <= len(g) + 1 else _exact_div_raw(ctx, g, part)
@@ -532,9 +499,7 @@ def roots_in(f: Polynomial, ctx: ff.FieldContext, seed) -> list:
         m = (ctx.one,)
         for e in orbit:
             m = _mul_raw(ctx, m, (ctx.neg(e), ctx.one))
-        if ext:  # m has F_p coefficients, embedded as (c, 0, ..., 0)
-            m = tuple(c[0] for c in m)
-        h = _exact_div_raw(base, h, m)
+        h = _exact_div_raw(f.ctx, h, tuple(c[0] for c in m))  # m has F_p coefficients
         roots.extend(orbit)
     roots.sort()
     return roots

@@ -84,9 +84,10 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
 
 
 def _splitting_data(f: Polynomial, p: int, seed, cap: int):
-    """Splitting field of f mod p and the raw roots of f in it, ascending.
+    """Splitting field ext_new(p, k) of f mod p, k >= 1, and the roots of f in it.
 
-    The roots are found one irreducible factor of f mod p at a time.
+    The roots, raw k-tuples in ascending order, are found one irreducible
+    factor of f mod p at a time.
     """
     if not isinstance(f.ctx, ff.PrimeFieldContext) or f.ctx.p != p:
         raise ValueError(f"polynomial is not over F_{p}")
@@ -94,7 +95,7 @@ def _splitting_data(f: Polynomial, p: int, seed, cap: int):
     if any(m > 1 for _, m in fact.factors):
         raise NotSquarefree(f"polynomial is not squarefree mod {p}")
     k = math.lcm(*(part.degree for part, _ in fact.factors))
-    ctx = f.ctx if k == 1 else ff.ext_new(p, k, seed, cap=cap)
+    ctx = ff.ext_new(p, k, seed, cap=cap)
     roots = tuple(sorted(e for part, _ in fact.factors for e in roots_in(part, ctx, seed)))
     if len(roots) != f.degree:
         raise RuntimeError(

@@ -143,7 +143,7 @@ def torsion_basis(f: Polynomial, p: int, seed, *, cap: int = ff.DEFAULT_EXT_CAP)
     identity.
     """
     ctx, roots = _splitting_data(f, p, seed, cap)
-    curve = HyperellipticCurve(f if ctx is f.ctx else embed_poly(f, ctx))
+    curve = HyperellipticCurve(embed_poly(f, ctx))
     g = curve.genus
     basis = tuple(embed_root(e, curve) for e in roots[: 2 * g])
     for D in basis:

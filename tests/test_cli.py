@@ -389,6 +389,11 @@ def test_usage_errors_exit_one(capsys):
     status, _, err = run_cli(capsys, "blowup", "--genus", "2", "--coeffs", "1,q", "-p", "7")
     assert status == 1
 
+    # a polynomial that vanishes mod p has no degree to report on
+    for command, poly in (("torsion", "7"), ("torsion", "0"), ("factor", "7")):
+        status, _, err = run_cli(capsys, command, poly, "-p", "7")
+        assert status == 1 and "polynomial vanishes identically mod 7" in err
+
 
 def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -408,6 +413,11 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
             capsys, "density", "x^3-2", "--bound", "1000000", "--group-order", order
         )
         assert (status, out, err) == (1, "", "error: group order must be positive\n")
+    for cap in ("0", "-1"):
+        status, _, err = run_cli(
+            capsys, "frobenius", "x^5-x-1", "--bound", "100", "--ext-cap", cap
+        )
+        assert status == 1 and "ext-cap" in err
 
 
 # the per-prime entry point each sweep calls, and how to read p off its arguments

@@ -467,8 +467,3 @@ def test_frobenius_has_order_k(p, k):
                 moved = True
                 break
         assert moved
-
-
-def test_frobenius_on_prime_field_is_identity(f31):
-    for a in range(31):
-        assert f31.frobenius(a) == a

@@ -74,6 +74,8 @@ def test_curve_validation():
         two_torsion_points(C, seed=0)
     with pytest.raises(UnsupportedDegree):
         HyperellipticCurve(Polynomial(ctx, [3, 1]))
+    with pytest.raises(UnsupportedDegree, match="zero"):
+        HyperellipticCurve(Polynomial.zero(ctx))
     # wild but squarefree degrees are fine: deg 7 = char 7
     assert curve(7, [1, 1, 0, 0, 0, 0, 0, 1]).genus == 3
 

@@ -43,6 +43,7 @@ RUNS = [
 ALLOWED = {
     "ExtFieldContext.element": "int conversion over F_{p^k}; commands build F_p polynomials",
     "PrimeFieldContext.add": "Cantor add sums v coefficients; commands add only v = 0 classes",
+    "PrimeFieldContext.neg": "Cantor reduction negates v; commands reduce only v = 0 classes",
     "good_primes": "the good primes alone; every sweep also needs disc f, from _split_primes",
 }
 

@@ -28,6 +28,7 @@ from splitlaw import (
     density_report,
     discriminant,
     factorize,
+    frobenius_sweep,
     good_primes,
     inclusion_check,
     resultant,
@@ -331,6 +332,15 @@ def test_verify_takes_one_derivative_per_prime(monkeypatch):
     monkeypatch.setattr(poly, "_deriv_raw", lambda ctx, a: calls.append(a) or deriv(ctx, a))
     verify_law(CUBE, 3000)
     assert len(calls) == len(good_primes(CUBE, 3000)) == 428
+
+
+def test_frobenius_builds_one_field_per_prime(monkeypatch):
+    # roots are found in one kind of field: F_p too is built, as ext_new(p, 1)
+    calls = []
+    ext_new = ff.ext_new
+    monkeypatch.setattr(ff, "ext_new", lambda p, *a, **kw: calls.append(p) or ext_new(p, *a, **kw))
+    frobenius_sweep(CUBE, 300)
+    assert calls == good_primes(CUBE, 300) and len(calls) == 60
 
 
 def test_splitting_type_and_fast_path_agree():

@@ -19,6 +19,7 @@ from splitlaw import (
     BinaryMatrix,
     ExtensionTooLarge,
     HyperellipticCurve,
+    MumfordDivisor,
     NotSquarefree,
     Polynomial,
     PrimeFieldContext,
@@ -30,7 +31,7 @@ from splitlaw import (
     two_torsion_points,
 )
 
-from oracles import embed_root, enumerate_jacobian, identity, torsion_basis
+from oracles import embed_poly, embed_root, enumerate_jacobian, identity, torsion_basis
 
 
 def curve(p, coeffs):
@@ -105,10 +106,18 @@ def test_two_torsion_requires_squarefree_curve():
 # ---------------------------------------------------------------------------
 
 
+def embedded_two_torsion(f, tb):
+    """two_torsion_points of the F_p curve y^2 = f, embedded in the basis's field."""
+    return {
+        MumfordDivisor(tb.curve, embed_poly(D.u, tb.ctx), embed_poly(D.v, tb.ctx))
+        for D in two_torsion_points(HyperellipticCurve(f), seed=0).elements
+    }
+
+
 def test_basis_of_split_cubic_spans_the_two_torsion():
     f = Polynomial(PrimeFieldContext(31), [-2, 0, 0, 1])
     tb = torsion_basis(f, 31, seed=1)
-    assert isinstance(tb.ctx, PrimeFieldContext)  # already split, no extension
+    assert tb.ctx.k == 1  # already split: F_31 as the degree-1 extension
     assert len(tb.roots) == 3 and len(tb.basis) == 2
     sums = set()
     for mask in range(4):
@@ -117,7 +126,7 @@ def test_basis_of_split_cubic_spans_the_two_torsion():
             if mask >> i & 1:
                 acc = add(acc, tb.basis[i])
         sums.add(acc)
-    assert sums == set(two_torsion_points(tb.curve, seed=0).elements)
+    assert sums == embedded_two_torsion(f, tb)
 
 
 def test_basis_of_split_quintic_spans_the_two_torsion():
@@ -132,7 +141,7 @@ def test_basis_of_split_quintic_spans_the_two_torsion():
                 acc = add(acc, tb.basis[i])
         sums.add(acc)
     assert len(sums) == 16
-    assert sums == set(two_torsion_points(tb.curve, seed=0).elements)
+    assert sums == embedded_two_torsion(f, tb)
 
 
 def test_basis_construction_over_an_extension():
