@@ -437,14 +437,6 @@ def _render_text(
     return "\n".join(lines) + "\n"
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def run(config: RunConfig) -> int:
     """Execute one subcommand and write its report; returns the exit code."""
     try:
@@ -457,6 +449,9 @@ def run(config: RunConfig) -> int:
             raise SplitlawError(f"workers must be >= 1, got {config.workers}")
         if config.ext_cap < 1:
             raise SplitlawError(f"ext-cap must be >= 1, got {config.ext_cap}")
+        out = config.output
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise SplitlawError(f"output {out!r} is a directory, or its directory does not exist")
         polys = [parse_polynomial(text) for text in config.polynomials]
         for text, f in zip(config.polynomials, polys):
             if not f.is_monic:
@@ -483,12 +478,20 @@ def run(config: RunConfig) -> int:
         return EXIT_INTERNAL
 
     if config.fmt == "json":
-        envelope = _envelope(config, payload, status)
-        _write(config, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(_envelope(config, payload, status), sort_keys=True, indent=2) + "\n"
     elif config.fmt == "csv":
-        _write(config, _render_csv(payload[records_key], fieldnames))
+        text = _render_csv(payload[records_key], fieldnames)
     else:
-        _write(config, _render_text(config, payload, records_key, status))
+        text = _render_text(config, payload, records_key, status)
+    try:
+        if config.output:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 
@@ -528,10 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _default_seed()  # read once: every subparser shares the default
 
     def common(sp):
         sp.add_argument(
-            "--seed", type=int, default=_default_seed(),
+            "--seed", type=int, default=seed,
             help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR})",
         )
         sp.add_argument(

@@ -58,17 +58,18 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # The F_p[x] kernel: polynomials over a prime field as int tuples (ascending,
-# normalized: no trailing zero), p passed explicitly. It backs F_{p^k} and
-# every prime-field Polynomial in poly.py; _pddf is its one distinct-degree
-# loop. _ppowmod powers modulo a fixed m of degree n on one packed int of n
-# W-bit lanes (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009):
-# one big-int square per step, top lanes folded through rows x^k mod m, and
-# one lane-wise Barrett step (Barrett, CRYPTO '86) for lanes below
-# B = 5np^2, with W = (B*mu).bit_length() + 1, mu = 2^s // p and
-# s = B.bit_length(), set per call from p and n. _qpowmod reduces through a
-# table of x^i mod m in F_{p^k}[x], on flat int lists with a second table
-# for y^j mod the field's modulus. Algorithms: von zur Gathen & Gerhard,
-# Modern Computer Algebra, ch. 2-4, 9, 14.
+# normalized: no trailing zero), p passed explicitly. It backs F_{p^k}, every
+# prime-field Polynomial in poly.py and, called directly, factorization;
+# _pddf is its one distinct-degree loop and _prem its one remainder loop.
+# _ppowmod powers modulo a fixed m of degree n on one packed int of n W-bit
+# lanes (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): one
+# big-int square per step, top lanes folded through rows x^k mod m, and one
+# lane-wise Barrett step (Barrett, CRYPTO '86) for lanes below B = 5np^2,
+# with W = (B*mu).bit_length() + 1, mu = 2^s // p and s = B.bit_length(),
+# set per call from p and n. _qpowmod reduces through a table of x^i mod m
+# in F_{p^k}[x], on flat int lists with a second table for y^j mod the
+# field's modulus. Algorithms: von zur Gathen & Gerhard, Modern Computer
+# Algebra, ch. 2-4, 9, 14.
 # ---------------------------------------------------------------------------
 
 
@@ -118,6 +119,30 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple]:
     return tuple(q), (tuple(r) if r and r[-1] else _pnorm(r))
 
 
+def _prem(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
+    """Remainder of a by nonzero b, without building the quotient."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return _pnorm(a)
+    binv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+    r = list(a)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top] * binv % p
+        if c:
+            for i in range(db):
+                r[top - db + i] -= c * b[i]
+    r = [c % p for c in r[:db]]
+    return tuple(r) if r and r[-1] else _pnorm(r)
+
+
+def _pexact_div(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
+    """The quotient a / b, checked to leave no remainder."""
+    q, r = _pdivmod(a, b, p)
+    if r:
+        raise ArithmeticError("division expected to be exact left a remainder")
+    return q
+
+
 def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
     """a^e mod nonzero m; e = 0 gives (1,) whatever m is.
 
@@ -137,7 +162,7 @@ def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
     if m[-1] != 1:
         inv = pow(m[-1], p - 2, p)
         m = [c * inv % p for c in m]
-    base = _pdivmod(a, m, p)[1]
+    base = _prem(a, m, p)
     if not base:
         return ()
     bound = 5 * n * p * p
@@ -247,15 +272,7 @@ def _qpowmod(a: Sequence[tuple], e: int, m: Sequence[tuple], mod: Sequence[int],
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
     """Monic gcd, without cofactors: Euclid on remainders, no quotient built."""
     while b:
-        db = len(b) - 1
-        binv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
-        r = list(a)
-        for top in range(len(r) - 1, db - 1, -1):
-            c = r[top] * binv % p
-            if c:
-                for i in range(db):
-                    r[top - db + i] -= c * b[i]
-        a, b = b, _pnorm([c % p for c in r[:db]])
+        a, b = b, _prem(a, b, p)
     if not a or a[-1] == 1:
         return tuple(a)
     inv = pow(a[-1], p - 2, p)
@@ -292,9 +309,7 @@ def _pddf(f: Sequence[int], p: int) -> Iterator[tuple[tuple, int]]:
         g = _pgcd(_psub(w, x, p), f, p)
         if len(g) > 1:
             yield g, d
-            f, r = _pdivmod(f, g, p)
-            if r:
-                raise ArithmeticError("division expected to be exact left a remainder")
+            f = _pexact_div(f, g, p)
     if len(f) > 1:
         yield tuple(f), len(f) - 1
 
@@ -331,10 +346,6 @@ class PrimeFieldContext:
     def char(self) -> int:
         return self.p
 
-    @property
-    def order(self) -> int:
-        return self.p
-
     zero = 0
     one = 1
 
@@ -359,9 +370,6 @@ class PrimeFieldContext:
     # -- conversions --------------------------------------------------------
     def element(self, v: int) -> int:
         return int(v) % self.p
-
-    def rand_raw(self, rng: random.Random) -> int:
-        return rng.randrange(self.p)
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -401,7 +409,7 @@ class ExtFieldContext:
         y_p = _ppowmod((0, 1), p, mod, p)
         rows = [(1,)]
         for _ in range(self.k - 1):
-            rows.append(_pdivmod(_pmul(rows[-1], y_p, p), mod, p)[1])
+            rows.append(_prem(_pmul(rows[-1], y_p, p), mod, p))
         self._frob = tuple(self._pad(r) for r in rows)
 
     @property
@@ -434,7 +442,7 @@ class ExtFieldContext:
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         p = self.base.p
-        return self._pad(_pdivmod(_pmul(a, b, p), self.modulus, p)[1])
+        return self._pad(_prem(_pmul(a, b, p), self.modulus, p))
 
     def inv(self, a: tuple) -> tuple:
         if not any(a):

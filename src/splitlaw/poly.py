@@ -2,18 +2,19 @@
 
 Coefficients are stored as raw context values (see ff) in ascending order,
 normalized so the zero polynomial is the empty tuple and any other leading
-coefficient is nonzero. Arithmetic, gcds and modular powers work over F_p
-and F_{p^k} contexts alike; factorization, like root finding, needs F_p
-coefficients (see below). Modular powers run on ff's fixed-modulus kernels
-(_ppowmod over F_p, _qpowmod over F_{p^k}); over a prime field,
-multiplication, division and gcds run on the int-tuple kernel too, and the
-context-generic loops below serve them over F_{p^k} only.
+coefficient is nonzero. The _raw helpers below take a context and work
+over F_p and F_{p^k} alike; they serve Cantor arithmetic (jacobian) and
+root finding. Modular powers run on ff's fixed-modulus kernels (_ppowmod
+over F_p, _qpowmod over F_{p^k}); over a prime field, multiplication,
+division and gcds run on the int-tuple kernel too, so the context-generic
+loops serve sums and negation over F_p and the rest over F_{p^k}.
 
-Factorization follows the classic pipeline: squarefree decomposition, then
-distinct-degree splitting (ff._pddf), then Cantor-Zassenhaus equal-degree
-splitting over F_p, on raw coefficient tuples, wrapping Polynomial only at
-the boundary. The randomness is an explicit seed, and factors are returned
-in a canonical order, so results are reproducible.
+Factorization needs F_p coefficients and follows the classic pipeline:
+squarefree decomposition, then distinct-degree splitting (ff._pddf), then
+Cantor-Zassenhaus equal-degree splitting. Every step calls ff's kernel on
+int tuples with p; factorize wraps Polynomial only at the boundary. The
+randomness is an explicit seed, and factors are returned in a canonical
+order, so results are reproducible.
 
 Root finding takes f with F_p coefficients and a field F_q, q = p^k, always
 an extension context, k >= 1 (F_p itself is ext_new(p, 1)), and has a
@@ -148,11 +149,6 @@ def _exact_div_raw(ctx, a: tuple, b: tuple) -> tuple:
     if r:
         raise ArithmeticError("division expected to be exact left a remainder")
     return q
-
-
-def _deriv_raw(ctx, a: tuple) -> tuple:
-    mul, element = ctx.mul, ctx.element
-    return _norm([mul(a[i], element(i)) for i in range(1, len(a))], ctx.zero)
 
 
 def _powmod_raw(ctx, a: tuple, e: int, m: tuple) -> tuple:
@@ -336,59 +332,50 @@ class Factorization:
         return SplittingType(tuple(sorted((p.degree, m) for p, m in self.factors)))
 
 
-def _squarefree_parts(ctx, f: tuple) -> list[tuple[tuple, int]]:
+def _squarefree_parts(f: tuple, p: int) -> list[tuple[tuple, int]]:
     """Monic pairwise-coprime squarefree parts of monic f over F_p, with multiplicities."""
-    p = ctx.char
-    d = _deriv_raw(ctx, f)
+    d = ff._pnorm([i * f[i] % p for i in range(1, len(f))])
     if not d:  # f is a polynomial in x^p, and c^p = c in F_p
-        return [(g, m * p) for g, m in _squarefree_parts(ctx, f[::p])]
+        return [(g, m * p) for g, m in _squarefree_parts(f[::p], p)]
     out: list[tuple[tuple, int]] = []
-    c = _gcd_raw(ctx, f, d)
-    w = _exact_div_raw(ctx, f, c)
+    c = ff._pgcd(f, d, p)
+    w = ff._pexact_div(f, c, p)
     i = 1
     while len(w) > 1:
-        y = _gcd_raw(ctx, w, c)
-        z = _exact_div_raw(ctx, w, y)
+        y = ff._pgcd(w, c, p)
+        z = ff._pexact_div(w, y, p)
         if len(z) > 1:
             out.append((z, i))
         w = y
-        c = _exact_div_raw(ctx, c, y)
+        c = ff._pexact_div(c, y, p)
         i += 1
     if len(c) > 1:
-        out.extend((g, m * p) for g, m in _squarefree_parts(ctx, c[::p]))
+        out.extend((g, m * p) for g, m in _squarefree_parts(c[::p], p))
     return out
 
 
-def _random_split(ctx, f: tuple, d: int, rng: random.Random) -> tuple:
-    """A proper monic factor of monic f, a product of degree-d irreducibles (q odd).
+def _equal_degree_split(f: tuple, d: int, p: int, rng: random.Random) -> list[tuple]:
+    """The factors of f, a monic product of degree-d irreducibles over F_p.
 
     Cantor-Zassenhaus: a random t of degree below deg f either shares a
     factor with f or, with probability about 1/2, splits it through
-    gcd(t^((q^d - 1)/2) - 1, f). Gives up after 128 draws.
+    gcd(t^((p^d - 1)/2) - 1, f). Each split gives up after 128 draws.
     """
-    exponent = (ctx.order**d - 1) // 2
-    one = (ctx.one,)
     n = len(f)
+    if n - 1 == d:
+        return [f]
+    exponent = (p**d - 1) // 2
     for _ in range(128):
-        t = _norm([ctx.rand_raw(rng) for _ in range(n - 1)], ctx.zero)
+        t = ff._pnorm([rng.randrange(p) for _ in range(n - 1)])
         if len(t) < 2:
             continue
-        g = _gcd_raw(ctx, t, f)
+        g = ff._pgcd(t, f, p)
+        if not 1 < len(g) < n:  # no lucky split by a shared factor
+            g = ff._pgcd(ff._psub(ff._ppowmod(t, exponent, f, p), (1,), p), f, p)
         if 1 < len(g) < n:
-            return g  # lucky split by a shared factor
-        g = _gcd_raw(ctx, _sub_raw(ctx, _powmod_raw(ctx, t, exponent, f), one), f)
-        if 1 < len(g) < n:
-            return g
+            rest = ff._pexact_div(f, g, p)
+            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
     raise RuntimeError("equal-degree splitting failed to converge")
-
-
-def _equal_degree_split(ctx, f: tuple, d: int, rng: random.Random) -> list[tuple]:
-    """Split a monic product of degree-d irreducibles into its factors (q odd)."""
-    if len(f) - 1 == d:
-        return [f]
-    g = _random_split(ctx, f, d, rng)
-    rest = _exact_div_raw(ctx, f, g)
-    return _equal_degree_split(ctx, g, d, rng) + _equal_degree_split(ctx, rest, d, rng)
 
 
 def factorize(f: Polynomial, seed) -> Factorization:
@@ -402,21 +389,22 @@ def factorize(f: Polynomial, seed) -> Factorization:
         raise ValueError("factorize needs coefficients in a prime field")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    p = ctx.p
     unit = f.coeffs[-1]
     fm = _monic_raw(ctx, f.coeffs)
     rng = None  # built at the first product of several degree-d factors
     factors: list[tuple[tuple, int]] = []
     if len(fm) > 1:
-        for part, mult in _squarefree_parts(ctx, fm):
-            for prod, d in ff._pddf(part, ctx.p):
+        for part, mult in _squarefree_parts(fm, p):
+            for prod, d in ff._pddf(part, p):
                 if rng is None and len(prod) - 1 > d:
                     rng = random.Random(seed)
-                factors.extend((irr, mult) for irr in _equal_degree_split(ctx, prod, d, rng))
+                factors.extend((irr, mult) for irr in _equal_degree_split(prod, d, p, rng))
     factors.sort(key=lambda fm_: (len(fm_[0]), fm_[0]))
     product = (unit,)
     for irr, mult in factors:
         for _ in range(mult):
-            product = _mul_raw(ctx, product, irr)
+            product = ff._pmul(product, irr, p)
     if product != f.coeffs:
         raise AssertionError("factorization failed verification by multiplication")
     wrapped = tuple((Polynomial._raw(ctx, irr), mult) for irr, mult in factors)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import ff
 from .errors import BadCharacteristic, EvenDegree, NotSquarefree, UnsupportedDegree
 from .jacobian import HyperellipticCurve, MumfordDivisor, add
-from .poly import Factorization, Polynomial, _mul_raw, factorize, roots_in
+from .poly import Factorization, Polynomial, factorize, roots_in
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,10 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
         total = sum(len(parts[i]) - 1 for i in range(n) if mask >> i & 1)
         if total > g:
             continue
-        u = (ctx.one,)
+        u = (1,)
         for i in range(n):
             if mask >> i & 1:
-                u = _mul_raw(ctx, u, parts[i])
+                u = ff._pmul(u, parts[i], ctx.p)
         D = MumfordDivisor(C, Polynomial._raw(ctx, u), Polynomial.zero(ctx))
         if not add(D, D).is_identity:
             raise RuntimeError(f"candidate {D!r} failed the doubling check")

@@ -95,7 +95,7 @@ def enumerate_jacobian(C: HyperellipticCurve, cap: int = 10**6) -> list[MumfordD
     count exceeds cap.
     """
     ctx = C.f.ctx
-    candidates = sum(ctx.order ** (2 * d) for d in range(C.genus + 1))
+    candidates = sum(ctx.p ** (2 * d) for d in range(C.genus + 1))
     if candidates > cap:
         raise ValueError(f"{candidates} candidate pairs exceed cap {cap}")
     out = [identity(C)]

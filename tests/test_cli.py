@@ -21,6 +21,7 @@ import jsonschema
 from splitlaw import (
     PolynomialSyntaxError,
     __version__,
+    cli,
     factorize,
     reciprocity,
     sieve_primes,
@@ -195,6 +196,16 @@ def test_output_flag_writes_file(tmp_path, capsys, schema):
     doc = json.loads(target.read_text())
     jsonschema.validate(doc, schema)
     assert doc["payload"]["primes"] == [{"p": 31}, {"p": 43}]
+
+
+def test_a_failed_report_write_is_one_error_line(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "r.json"))
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    status, out, err = run_cli(capsys, "spl", "x^3-2", "--bound", "50", "-o", str(tmp_path / "r.json"))
+    assert (status, out) == (1, "")
+    assert err.startswith("error: cannot write the report:") and err.count("\n") == 1
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -395,7 +406,7 @@ def test_usage_errors_exit_one(capsys):
         assert status == 1 and "polynomial vanishes identically mod 7" in err
 
 
-def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
+def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a sieve or pool started before the limits were checked")
 
@@ -418,6 +429,10 @@ def test_bad_limits_are_refused_before_any_work(monkeypatch, capsys):
             capsys, "frobenius", "x^5-x-1", "--bound", "100", "--ext-cap", cap
         )
         assert status == 1 and "ext-cap" in err
+    for out in (tmp_path / "missing" / "r.json", tmp_path):  # no parent directory; a directory
+        status, _, err = run_cli(capsys, "verify", "x^3-2", "--bound", "100", "-o", str(out))
+        assert status == 1 and err.count("\n") == 1 and err.startswith("error:") and "output" in err
+    assert not (tmp_path / "missing").exists()
 
 
 # the per-prime entry point each sweep calls, and how to read p off its arguments
@@ -568,5 +583,5 @@ def test_bad_seed_env_warns_and_falls_back(monkeypatch, capsys, schema):
     monkeypatch.setenv("SPLITLAW_SEED", "not-a-number")
     status, out, err = run_cli(capsys, "spl", "x^3-2", "--bound", "50")
     assert status == 0
-    assert "SPLITLAW_SEED" in err
+    assert err.count("warning: ignoring non-integer SPLITLAW_SEED") == 1
     assert json.loads(out)["config"]["seed"] == 271828

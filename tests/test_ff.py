@@ -12,7 +12,7 @@ import random
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_pow_mod
+from sympy.polys.galoistools import gf_pow_mod, gf_rem
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from splitlaw import (
     factorize,
     is_prime,
 )
-from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod, _qpowmod
+from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod, _prem, _qpowmod
 from splitlaw.poly import _divmod_raw, _mul_raw, _norm
 
 from oracles import elements, evaluate, power
@@ -261,6 +261,24 @@ def test_ppowmod_matches_sympy(p, m, monic, a, e):
     a = _pnorm([c % p for c in a])
     e %= p**3 + 1
     assert _ppowmod(a, e, tuple(m), p) == sympy_powmod(a, e, m, p)
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 31, 65521, 2**31 - 1]),
+    a=st.lists(st.integers(0, 2**31), max_size=25),
+    b=st.lists(st.integers(0, 2**31), min_size=1, max_size=12),
+    monic=st.booleans(),
+)
+@example(p=7, a=[1, 2], b=[3, 4, 5], monic=False)  # a shorter than b is its own remainder
+@example(p=2**31 - 1, a=[2**31 - 2] * 9, b=[5, 2**31 - 2, 3], monic=False)
+@settings(max_examples=300, deadline=None)
+def test_prem_matches_sympy(p, a, b, monic):
+    """b of degree 0 to 11, monic or not; a empty, shorter or longer than b."""
+    a = _pnorm([c % p for c in a])
+    b = [c % p for c in b]
+    b[-1] = 1 if monic else b[-1] or 2
+    want = tuple(gf_rem(list(a[::-1]), b[::-1], p, ZZ)[::-1])  # sympy is descending
+    assert _prem(a, tuple(b), p) == want
 
 
 @pytest.mark.parametrize(

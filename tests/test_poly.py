@@ -30,7 +30,7 @@ from splitlaw import (
 )
 from splitlaw import ff
 from splitlaw.poly import _add_raw, _divmod_raw, _exact_div_raw, _gcd_raw, _mul_raw
-from splitlaw.poly import _powmod_raw, _random_split, _sub_raw, _trace_split, _xgcd_raw
+from splitlaw.poly import _equal_degree_split, _powmod_raw, _sub_raw, _trace_split, _xgcd_raw
 
 from oracles import elements, embed_poly, evaluate, power
 
@@ -44,7 +44,7 @@ def sympy_type(coeffs, p):
 
 
 def rand_poly(ctx, degree, rng):
-    return Polynomial(ctx, [rng.randrange(ctx.order) for _ in range(degree + 1)])
+    return Polynomial(ctx, [rng.randrange(ctx.p) for _ in range(degree + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _exhaustive_irreducible(f):
     if f.degree <= 1:
         return True
     for d in range(1, f.degree // 2 + 1):
-        for tail in itertools.product(range(ctx.order), repeat=d):
+        for tail in itertools.product(range(ctx.p), repeat=d):
             if not _divmod_raw(ctx, f.coeffs, tail + (1,))[1]:
                 return False
     return True
@@ -265,6 +265,8 @@ def _exhaustive_irreducible(f):
     deg=st.integers(1, 7),
     seed=st.integers(0, 2**32),
 )
+@example(p=5, deg=5, seed=13197)  # x^5 + 1 = (x + 1)^5: the squarefree step's p-th root
+@example(p=3, deg=3, seed=28)  # x^3 - x: an equal-degree split into three linear factors
 @settings(max_examples=80, deadline=None)
 def test_factorize_against_sympy_and_divisor_scan(p, deg, seed):
     ctx = PrimeFieldContext(p)
@@ -426,15 +428,12 @@ class ZeroRandom(random.Random):
         return 0
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_random_split_gives_up_after_128_draws(k):
-    f = Polynomial(PrimeFieldContext(5), [2, -3, 1])  # (x - 1)(x - 2)
-    if k > 1:
-        f = embed_poly(f, ext_new(5, k, seed=1))
+def test_equal_degree_split_gives_up_after_128_draws():
+    f = (2, 2, 1)  # (x - 1)(x - 2) over F_5
     rng = ZeroRandom(0)
     with pytest.raises(RuntimeError, match="failed to converge"):
-        _random_split(f.ctx, f.coeffs, 1, rng)
-    assert rng.calls == 128 * f.degree * k
+        _equal_degree_split(f, 1, 5, rng)
+    assert rng.calls == 128 * 2
 
 
 @pytest.mark.parametrize("k", [1, 2])

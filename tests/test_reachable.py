@@ -43,7 +43,10 @@ RUNS = [
 ALLOWED = {
     "ExtFieldContext.element": "int conversion over F_{p^k}; commands build F_p polynomials",
     "PrimeFieldContext.add": "Cantor add sums v coefficients; commands add only v = 0 classes",
+    "PrimeFieldContext.char": "perfbench/tracer.py reads it for a span's prime; the package reads .p",
+    "PrimeFieldContext.element": "int conversion for Polynomial(ctx, ints), which only tests call",
     "PrimeFieldContext.neg": "Cantor reduction negates v; commands reduce only v = 0 classes",
+    "PrimeFieldContext.sub": "Cantor reduction forms f - v^2; commands reduce only v = 0 classes",
     "good_primes": "the good primes alone; every sweep also needs disc f, from _split_primes",
 }
 

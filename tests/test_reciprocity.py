@@ -328,10 +328,26 @@ def test_verify_takes_one_derivative_per_prime(monkeypatch):
     # squarefreeness is read off factorize's decomposition; the curve
     # constructor takes no second derivative
     calls = []
-    deriv = poly._deriv_raw
-    monkeypatch.setattr(poly, "_deriv_raw", lambda ctx, a: calls.append(a) or deriv(ctx, a))
+    squarefree_parts = poly._squarefree_parts
+    monkeypatch.setattr(
+        poly, "_squarefree_parts", lambda f, p: calls.append(f) or squarefree_parts(f, p)
+    )
     verify_law(CUBE, 3000)
     assert len(calls) == len(good_primes(CUBE, 3000)) == 428
+
+
+def test_verify_runs_no_prime_field_context_arithmetic(monkeypatch):
+    # factorization, the subset products and the doubling of v = 0 classes
+    # all run on ff's int-tuple kernel, not element by element
+    calls = []
+    for name in ("add", "sub", "mul", "neg", "inv"):
+        method = getattr(PrimeFieldContext, name)
+        monkeypatch.setattr(
+            PrimeFieldContext, name,
+            lambda self, *a, name=name, method=method: calls.append(name) or method(self, *a),
+        )
+    verify_law(CUBE, 3000)
+    assert calls == []
 
 
 def test_frobenius_builds_one_field_per_prime(monkeypatch):
