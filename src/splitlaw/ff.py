@@ -66,10 +66,19 @@ def is_prime(n: int) -> bool:
 # big-int square per step, top lanes folded through rows x^k mod m, and one
 # lane-wise Barrett step (Barrett, CRYPTO '86) for lanes below B = 5np^2,
 # with W = (B*mu).bit_length() + 1, mu = 2^s // p and s = B.bit_length(),
-# set per call from p and n. _qpowmod reduces through a table of x^i mod m
-# in F_{p^k}[x], on flat int lists with a second table for y^j mod the
-# field's modulus. Algorithms: von zur Gathen & Gerhard, Modern Computer
-# Algebra, ch. 2-4, 9, 14.
+# set per call from p and n.
+#
+# The F_{p^k}[x] kernel (the _q functions) takes polynomials over an
+# extension context: tuples of k-tuples, normalized. Inside, an operand is
+# flat, x^i y^j at index i*(2k - 1) + j, so a product of two operands is
+# one delayed-reduction loop whose slots of 2k - 1 lanes never overlap.
+# Each slot is folded once, through the context's rows y^j mod the field
+# modulus for k <= j <= 2k - 2, and reduced % p once. Division inverts the
+# divisor's leading coefficient once. _qpowmod packs the flat layout into
+# one int of W-bit lanes and reduces it with lane-wise Barrett steps for
+# lanes below B = 4nkp^2, W set per call from p, n = deg m and k as above.
+# Algorithms: von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-4,
+# 9, 14.
 # ---------------------------------------------------------------------------
 
 
@@ -105,7 +114,7 @@ def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple]:
     db = len(b) - 1
     if len(a) <= db:
         return (), _pnorm(a)
-    binv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+    binv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     r = list(a)
     q = [0] * (len(a) - db)
     for top in range(len(a) - 1, db - 1, -1):
@@ -124,7 +133,7 @@ def _prem(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
     db = len(b) - 1
     if len(a) <= db:
         return _pnorm(a)
-    binv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
+    binv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     r = list(a)
     for top in range(len(r) - 1, db - 1, -1):
         c = r[top] * binv % p
@@ -160,7 +169,7 @@ def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
         return (1,)
     n = len(m) - 1
     if m[-1] != 1:
-        inv = pow(m[-1], p - 2, p)
+        inv = pow(m[-1], -1, p)
         m = [c * inv % p for c in m]
     base = _prem(a, m, p)
     if not base:
@@ -200,73 +209,172 @@ def _ppowmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple:
     return _pnorm([(r >> i * w & lane) % p for i in range(n)])
 
 
-def _qpowmod(a: Sequence[tuple], e: int, m: Sequence[tuple], mod: Sequence[int], p: int) -> tuple:
-    """a^e mod nonzero m over F_q = F_p[y]/(mod), mod monic of degree k.
+def _qflat(a: Sequence[tuple], k: int) -> list:
+    """a over F_{p^k} as one flat int list: x^i y^j at index i*(2k - 1) + j."""
+    pad = (0,) * (k - 1)
+    return [u for c in a for u in (*c, *pad)]
 
-    _ppowmod one level up: a and m hold k-tuples, and e = 0 gives one
-    whatever m is. An operand of degree < n = deg m is one flat int list
-    with x^i y^j at index i*(2k - 1) + j, so a product, y-degrees up to
-    2k - 2 included, is one delayed-reduction loop. With m scaled to monic,
-    the rows y^(k+t) mod mod and x^(n+t) mod m are built once; reduction
-    walks the slots from the top, folds y out of each and folds each slot
-    x^i, i >= n, into the lower ones, with one % p per coefficient.
+
+def _qslot(s: list, lo: int, ctx) -> tuple:
+    """The slot of flat s at lo, folded mod the field modulus in place, as a reduced element."""
+    p = ctx.base.p
+    for j, row in ctx._ytab:
+        c = s[lo + j] % p
+        if c:
+            for t, y in enumerate(row, lo):
+                s[t] += c * y
+    return tuple(c % p for c in s[lo : lo + ctx.k])
+
+
+def _qfold(s: list, ctx) -> tuple:
+    """Flat s reduced slot by slot, as a normalized polynomial over F_{p^k}."""
+    out = [_qslot(s, lo, ctx) for lo in range(0, len(s), 2 * ctx.k - 1)]
+    while out and not any(out[-1]):
+        out.pop()
+    return tuple(out)
+
+
+def _qmul(a: Sequence[tuple], b: Sequence[tuple], ctx, c: Sequence[tuple] = ()) -> tuple:
+    """c + a*b over F_{p^k}: one delayed-reduction loop on the flat layouts."""
+    if not a or not b:
+        return tuple(c)
+    w = 2 * ctx.k - 1
+    s = _qflat(c, ctx.k) + [0] * ((len(a) + len(b) - 1 - len(c)) * w)
+    bs = [(t, v) for t, v in enumerate(_qflat(b, ctx.k)) if v]
+    for i, u in enumerate(_qflat(a, ctx.k)):
+        if u:
+            for t, v in bs:
+                s[i + t] += u * v
+    return _qfold(s, ctx)
+
+
+def _qdivmod(a: Sequence[tuple], b: Sequence[tuple], ctx) -> tuple[tuple, tuple]:
+    """Quotient and remainder over F_{p^k} of a by nonzero b; a longer than b is normalized.
+
+    One inverse of b's leading coefficient; each slot of a is folded once,
+    as it becomes the top, and the quotient coefficient is that slot times
+    the inverse.
     """
-    k = len(mod) - 1
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), tuple(a)
+    p, k = ctx.base.p, ctx.k
+    w = 2 * k - 1
+    binv = None if b[-1] == ctx.one else ctx.inv(b[-1])
+    nb = [(t, -v % p) for t, v in enumerate(_qflat(b[:db], k)) if v]  # -b below its lead
+    r = _qflat(a, k)
+    q = []
+    for top in range((len(a) - 1) * w, db * w - 1, -w):
+        c = _qslot(r, top, ctx)
+        if binv is not None and any(c):
+            c = ctx.mul(c, binv)
+        q.append(c)
+        for j, u in enumerate(c, top - db * w):
+            if u:
+                for t, v in nb:
+                    r[j + t] += u * v
+    return tuple(q[::-1]), _qfold(r[: db * w], ctx)
+
+
+def _qgcd(a: Sequence[tuple], b: Sequence[tuple], ctx) -> tuple:
+    """Monic gcd over F_{p^k}: Euclid on remainders, then one scaling by an inverse."""
+    while b:
+        a, b = b, _qdivmod(a, b, ctx)[1]
+    if not a or a[-1] == ctx.one:
+        return tuple(a)
+    inv = ctx.inv(a[-1])
+    return tuple(ctx.mul(c, inv) for c in a)
+
+
+def _qxgcd(a: Sequence[tuple], b: Sequence[tuple], ctx) -> tuple[tuple, tuple, tuple]:
+    """(g, s, t) over F_{p^k} with monic g = s*a + t*b."""
+    one = ctx.one
+    r0, r1 = a, b
+    s0, s1 = (one,), ()
+    t0, t1 = (), (one,)
+    while r1:
+        q, r = _qdivmod(r0, r1, ctx)
+        q = tuple(ctx.neg(c) for c in q)
+        r0, r1 = r1, r
+        s0, s1 = s1, _qmul(q, s1, ctx, s0)
+        t0, t1 = t1, _qmul(q, t1, ctx, t0)
+    if r0 and r0[-1] != one:
+        inv = ctx.inv(r0[-1])
+        r0, s0, t0 = (tuple(ctx.mul(c, inv) for c in u) for u in (r0, s0, t0))
+    return tuple(r0), s0, t0
+
+
+def _qpowmod(a: Sequence[tuple], e: int, m: Sequence[tuple], ctx) -> tuple:
+    """a^e mod nonzero m over F_{p^k} = ctx; e = 0 gives one whatever m is.
+
+    _ppowmod one level up, on one packed int: with n = deg m, slot i of
+    2k - 1 lanes holds the coefficient of x^i, lane j of it that of y^j, so
+    a product of residues is one big-int product of 2n - 1 carry-free
+    slots. Reduction, with m scaled to monic: one lane-wise Barrett step
+    (lanes to [0, 2p)), y^j, j >= k, folded out of every slot through the
+    context's rows y^j mod the field modulus, Barrett, each slot x^i,
+    i >= n, folded in as that multiple of the packed row x^i mod m,
+    Barrett, y folded out again and a last Barrett. Every lane then stays
+    below B = 4nkp^2, and s = B.bit_length(), mu = 2^s // p and
+    W = (B*mu).bit_length() + 1 are set per call from p, n and k.
+    """
     if not e:
-        return ((1,) + (0,) * (k - 1),)
+        return (ctx.one,)
     n = len(m) - 1
     if n < 1:
         return ()
-    w = 2 * k - 1
-    pad = [0] * (w - k)
-    y_k = [-c % p for c in mod[:k]]
-    yfolds = []
-    row = [0] * (k - 1) + [1]
-    for j in range(k, w):  # row = y^j mod mod
-        row = [(u + row[-1] * c) % p for u, c in zip([0, *row[:-1]], y_k)]
-        yfolds.append((j, row))
-    xfolds: list[list] = []
+    p, k = ctx.base.p, ctx.k
+    if m[-1] != ctx.one:
+        inv = ctx.inv(m[-1])
+        m = tuple(ctx.mul(c, inv) for c in m)
+    if len(a) > n:
+        a = _qdivmod(a, m, ctx)[1]
+    if not a:
+        return ()
+    bound = 4 * n * k * p * p
+    s = bound.bit_length()
+    mu = (1 << s) // p
+    w = (bound * mu).bit_length() + 1
+    lane = (1 << w) - 1
+    slot = (2 * k - 1) * w
+    every = ((1 << (2 * n - 1) * slot) - 1) // ((1 << slot) - 1)  # one bit at each slot's start
+    kmask = (1 << k * w) - 1  # lanes below k of one slot
+    keep = kmask * every
+    first = lane * every  # lane 0 of every slot
+    qmask = ((1 << w - s) - 1) * (every * ((1 << slot) - 1) // lane)  # W - s ones in every lane
+    low = (1 << n * slot) - 1
 
-    def reduce(s: list) -> list:
-        """s of at most 2n - 1 slots, reduced mod m and mod to n slots in [0, p)."""
-        for lo in range(len(s) - w, -1, -w):  # a slot x^i, i >= n, folds only below n
-            for j, ys in yfolds:
-                c = s[lo + j] % p
-                if c:
-                    for t, y in enumerate(ys, lo):
-                        s[t] += c * y
-            s[lo + k : lo + w] = pad
-            for j in range(k) if lo >= n * w else ():
-                c = s[lo + j] % p
-                if c:
-                    for t, y in xfolds[lo // w - n]:
-                        s[t + j] += c * y
-        del s[n * w :]
-        return [c % p for c in s]
+    def pack(c):
+        r = 0
+        for u in reversed(_qflat(c, k)):
+            r = r << w | u
+        return r
 
-    def mulmod(u: list, v: list) -> list:
-        s = [0] * ((2 * n - 1) * w)
-        vs = [(j, d) for j, d in enumerate(v) if d]
-        for i, c in enumerate(u):
-            if c:
-                for j, d in vs:
-                    s[i + j] += c * d
-        return reduce(s)
+    def barrett(t):  # every lane below B to [0, 2p)
+        return t - p * (t * mu >> s & qmask)
 
-    neg_inv = [-c % p for c in _pxgcd(_pnorm(m[-1]), mod, p)[1]]
-    row = mulmod([u for c in m[:n] for u in (*c, *pad)], neg_inv)  # x^n mod m
-    for _ in range(max(n - 1, 1)):
-        xfolds.append([(t, y) for t, y in enumerate(row) if y])
-        row = reduce([0] * w + row)
-    top = max(len(a) - n, 0)
-    b = r = [u for c in a[top:] for u in (*c, *pad)]
-    for c in reversed(a[:top]):  # Horner: b = c + x*b
-        b = r = reduce([*c, *pad, *b])
+    def yfold(t):  # lanes j >= k of every slot folded below k
+        f = t & keep
+        for shift, y in ys:
+            f += (t >> shift & first) * y
+        return barrett(f)
+
+    def xfold(t, xs):  # slots i >= n folded below n
+        r = t & low
+        for shift, x in xs:
+            r += (t >> shift & kmask) * x
+        return yfold(barrett(r))
+
+    ys = [(j * w, pack([row])) for j, row in ctx._ytab]
+    xs = [(n * slot, pack([tuple(-u % p for u in c) for c in m[:n]]))]  # x^n mod m
+    for i in range(n + 1, 2 * n - 1):  # x^i mod m
+        xs.append((i * slot, xfold(xs[-1][1] << slot, xs[:1])))
+    b = r = pack(a)
     for bit in bin(e)[3:]:
-        r = mulmod(r, r)
+        r = xfold(yfold(barrett(r * r)), xs)
         if bit == "1":
-            r = mulmod(r, b)
-    return tuple(tuple(r[lo : lo + k]) for lo in range(0, len(_pnorm(r)), w))
+            r = xfold(yfold(barrett(r * b)), xs)
+    return _qfold([r >> i * w & lane for i in range(n * (2 * k - 1))], ctx)
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
@@ -275,7 +383,7 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
         a, b = b, _prem(a, b, p)
     if not a or a[-1] == 1:
         return tuple(a)
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return tuple(c * inv % p for c in a)
 
 
@@ -290,7 +398,7 @@ def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple, tuple, tu
         s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
         t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
     if r0 and r0[-1] != 1:
-        scale = (pow(r0[-1], p - 2, p),)
+        scale = (pow(r0[-1], -1, p),)
         r0, s0, t0 = _pmul(r0, scale, p), _pmul(s0, scale, p), _pmul(t0, scale, p)
     return tuple(r0), s0, t0
 
@@ -365,7 +473,7 @@ class PrimeFieldContext:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise NonInvertible(f"0 has no inverse in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     # -- conversions --------------------------------------------------------
     def element(self, v: int) -> int:
@@ -389,7 +497,7 @@ class ExtFieldContext:
     extensions are allowed and behave like a relabelled copy of the base.
     """
 
-    __slots__ = ("base", "k", "modulus", "_frob")
+    __slots__ = ("base", "k", "modulus", "_frob", "_ytab")
 
     def __init__(self, base: PrimeFieldContext, modulus: Sequence[int]):
         mod = tuple(c % base.p for c in modulus)
@@ -411,6 +519,13 @@ class ExtFieldContext:
         for _ in range(self.k - 1):
             rows.append(_prem(_pmul(rows[-1], y_p, p), mod, p))
         self._frob = tuple(self._pad(r) for r in rows)
+        # (j, y^j mod the modulus) for k <= j <= 2k - 2: the folds of a product's high lanes
+        ytab = []
+        row = (0,) * (self.k - 1) + (1,)
+        for j in range(self.k, 2 * self.k - 1):
+            row = tuple((u + row[-1] * (p - c)) % p for u, c in zip((0, *row[:-1]), mod))
+            ytab.append((j, row))
+        self._ytab = tuple(ytab)
 
     @property
     def order(self) -> int:

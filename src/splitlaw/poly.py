@@ -4,10 +4,11 @@ Coefficients are stored as raw context values (see ff) in ascending order,
 normalized so the zero polynomial is the empty tuple and any other leading
 coefficient is nonzero. The _raw helpers below take a context and work
 over F_p and F_{p^k} alike; they serve Cantor arithmetic (jacobian) and
-root finding. Modular powers run on ff's fixed-modulus kernels (_ppowmod
-over F_p, _qpowmod over F_{p^k}); over a prime field, multiplication,
-division and gcds run on the int-tuple kernel too, so the context-generic
-loops serve sums and negation over F_p and the rest over F_{p^k}.
+root finding. Products, division, gcds and modular powers pass the
+context straight to one of ff's two kernels: int tuples over F_p (_pmul,
+_pdivmod, _pgcd, _pxgcd, _ppowmod), and the flat layout over F_{p^k}
+(_qmul, _qdivmod, _qgcd, _qxgcd, and _qpowmod on one packed int). Only
+sums, differences and negation loop over the context's element methods.
 
 Factorization needs F_p coefficients and follows the classic pipeline:
 squarefree decomposition, then distinct-degree splitting (ff._pddf), then
@@ -70,41 +71,14 @@ def _neg_raw(ctx, a: tuple) -> tuple:
 def _mul_raw(ctx, a: tuple, b: tuple) -> tuple:
     if type(ctx) is ff.PrimeFieldContext:
         return ff._pmul(a, b, ctx.p)
-    if not a or not b:
-        return ()
-    zero = ctx.zero
-    add, mul = ctx.add, ctx.mul
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == zero:
-            continue
-        for j, bj in enumerate(b):
-            if bj != zero:
-                out[i + j] = add(out[i + j], mul(ai, bj))
-    return _norm(out, zero)
+    return ff._qmul(a, b, ctx)
 
 
 def _divmod_raw(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     """Quotient and remainder; b must be nonzero."""
     if type(ctx) is ff.PrimeFieldContext:
         return ff._pdivmod(a, b, ctx.p)
-    zero = ctx.zero
-    db = len(b) - 1
-    if len(a) < len(b):
-        return (), a
-    binv = ctx.one if b[-1] == ctx.one else ctx.inv(b[-1])
-    sub, mul = ctx.sub, ctx.mul
-    r = list(a)
-    q = [zero] * (len(a) - db)
-    for top in range(len(a) - 1, db - 1, -1):
-        lead = r[top]
-        if lead == zero:
-            continue
-        c = mul(lead, binv)
-        q[top - db] = c
-        for i in range(db + 1):
-            r[top - db + i] = sub(r[top - db + i], mul(c, b[i]))
-    return _norm(q, zero), _norm(r, zero)
+    return ff._qdivmod(a, b, ctx)
 
 
 def _monic_raw(ctx, a: tuple) -> tuple:
@@ -118,30 +92,14 @@ def _monic_raw(ctx, a: tuple) -> tuple:
 def _gcd_raw(ctx, a: tuple, b: tuple) -> tuple:
     if type(ctx) is ff.PrimeFieldContext:
         return ff._pgcd(a, b, ctx.p)
-    while b:
-        a, b = b, _divmod_raw(ctx, a, b)[1]
-    return _monic_raw(ctx, a)
+    return ff._qgcd(a, b, ctx)
 
 
 def _xgcd_raw(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
     """Monic g with g = s*a + t*b."""
     if type(ctx) is ff.PrimeFieldContext:
         return ff._pxgcd(a, b, ctx.p)
-    r0, r1 = a, b
-    s0, s1 = (ctx.one,), ()
-    t0, t1 = (), (ctx.one,)
-    while r1:
-        q, r = _divmod_raw(ctx, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_raw(ctx, s0, _mul_raw(ctx, q, s1))
-        t0, t1 = t1, _sub_raw(ctx, t0, _mul_raw(ctx, q, t1))
-    if r0 and r0[-1] != ctx.one:
-        inv = ctx.inv(r0[-1])
-        scale = (inv,)
-        r0 = _mul_raw(ctx, r0, scale)
-        s0 = _mul_raw(ctx, s0, scale)
-        t0 = _mul_raw(ctx, t0, scale)
-    return r0, s0, t0
+    return ff._qxgcd(a, b, ctx)
 
 
 def _exact_div_raw(ctx, a: tuple, b: tuple) -> tuple:
@@ -154,7 +112,7 @@ def _exact_div_raw(ctx, a: tuple, b: tuple) -> tuple:
 def _powmod_raw(ctx, a: tuple, e: int, m: tuple) -> tuple:
     if type(ctx) is ff.PrimeFieldContext:
         return ff._ppowmod(a, e, m, ctx.p)
-    return ff._qpowmod(a, e, m, ctx.modulus, ctx.base.p)
+    return ff._qpowmod(a, e, m, ctx)
 
 
 class Polynomial:
@@ -337,8 +295,10 @@ def _squarefree_parts(f: tuple, p: int) -> list[tuple[tuple, int]]:
     d = ff._pnorm([i * f[i] % p for i in range(1, len(f))])
     if not d:  # f is a polynomial in x^p, and c^p = c in F_p
         return [(g, m * p) for g, m in _squarefree_parts(f[::p], p)]
-    out: list[tuple[tuple, int]] = []
     c = ff._pgcd(f, d, p)
+    if len(c) == 1:  # f is squarefree, as at every good prime
+        return [(f, 1)]
+    out: list[tuple[tuple, int]] = []
     w = ff._pexact_div(f, c, p)
     i = 1
     while len(w) > 1:
@@ -417,10 +377,13 @@ def _trace_split(ctx, g: tuple, xs: list, rng: random.Random) -> tuple:
     xs[i] = x^(p^i) mod h over F_p, i < k, for some h with g | h, q = p^k.
     For random a, b in F_q, T = sum_i (a^(p^i) xs[i] + b^(p^i)) is
     Tr(a*x + b) mod h, so T(r) = Tr(a*r + b) lies in F_p at every root r,
-    and gcd(T, g) or gcd(T^((p - 1)/2) - 1, g) splits g with probability
-    about 1/2. b is needed: for x^2 - c, c a non-residue and p = 1 mod 4,
-    the roots r and r^p = -r have traces t and -t, one quadratic character.
-    Gives up after 128 draws.
+    and gcd(T^((p - 1)/2) - 1, g), the roots where that trace is a nonzero
+    square, splits g with probability about 1/2. It is the only gcd a draw
+    takes: gcd(T, g), the roots of trace 0, holds each root with
+    probability 1/p only, so it almost never splits g and is not worth a
+    gcd over F_q per draw. b is needed: for x^2 - c, c a non-residue and
+    p = 1 mod 4, the roots r and r^p = -r have traces t and -t, one
+    quadratic character. Gives up after 128 draws.
     """
     p = ctx.base.p
     exponent = (p - 1) // 2
@@ -438,10 +401,9 @@ def _trace_split(ctx, g: tuple, xs: list, rng: random.Random) -> tuple:
                 t[0][j] += e
             a, b = ctx.frobenius(a), ctx.frobenius(b)
         T = _norm([tuple(c % p for c in row) for row in t], ctx.zero)
-        for cand in (T, _sub_raw(ctx, _powmod_raw(ctx, T, exponent, g), one)):
-            part = _gcd_raw(ctx, cand, g)
-            if 1 < len(part) < n:
-                return part
+        part = _gcd_raw(ctx, _sub_raw(ctx, _powmod_raw(ctx, T, exponent, g), one), g)
+        if 1 < len(part) < n:
+            return part
     raise RuntimeError("trace splitting failed to converge")
 
 

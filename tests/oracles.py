@@ -1,9 +1,11 @@
 """Reference implementations the tests check the package against; no command runs them.
 
-Field powers by square-and-multiply, brute-force Jacobian enumeration
-(with a cap), inverses and multiples of classes, a checked Mumford
-constructor for pairs written by hand, and the basis of embedded roots that
-backs the matrices `frobenius` reports.
+Context-generic polynomial product, division, xgcd and modular power
+(element by element through the field context's methods; the reference
+for both of ff's polynomial kernels), field powers by square-and-multiply,
+brute-force Jacobian enumeration (with a cap), inverses and multiples of
+classes, a checked Mumford constructor for pairs written by hand, and the
+basis of embedded roots that backs the matrices `frobenius` reports.
 """
 
 import itertools
@@ -19,6 +21,59 @@ def elements(ctx):
     if isinstance(ctx, ff.PrimeFieldContext):
         return iter(range(ctx.p))
     return itertools.product(range(ctx.base.p), repeat=ctx.k)
+
+
+def mul(ctx, a: tuple, b: tuple) -> tuple:
+    """a*b, one context product per pair of coefficients."""
+    if not a or not b:
+        return ()
+    out = [ctx.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
+    return _norm(out, ctx.zero)
+
+
+def divmod_(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by nonzero b, by schoolbook long division."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    binv = ctx.inv(b[-1])
+    r = list(a)
+    q = [ctx.zero] * (len(a) - db)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = q[top - db] = ctx.mul(r[top], binv)
+        for i in range(db + 1):
+            r[top - db + i] = ctx.sub(r[top - db + i], ctx.mul(c, b[i]))
+    return _norm(q, ctx.zero), _norm(r, ctx.zero)
+
+
+def xgcd(ctx, a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
+    """(g, s, t) with monic g = s*a + t*b, by the extended Euclidean algorithm."""
+    r0, r1 = a, b
+    s0, s1 = (ctx.one,), ()
+    t0, t1 = (), (ctx.one,)
+    while r1:
+        q, r = divmod_(ctx, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_raw(ctx, s0, mul(ctx, q, s1))
+        t0, t1 = t1, _sub_raw(ctx, t0, mul(ctx, q, t1))
+    if r0:
+        scale = (ctx.inv(r0[-1]),)
+        r0, s0, t0 = mul(ctx, r0, scale), mul(ctx, s0, scale), mul(ctx, t0, scale)
+    return r0, s0, t0
+
+
+def powmod(ctx, a: tuple, e: int, m: tuple) -> tuple:
+    """a^e mod nonzero m, by right-to-left squaring with mul and divmod_."""
+    r, b = (ctx.one,), divmod_(ctx, a, m)[1]
+    while e:
+        if e & 1:
+            r = divmod_(ctx, mul(ctx, r, b), m)[1]
+        b = divmod_(ctx, mul(ctx, b, b), m)[1]
+        e >>= 1
+    return r
 
 
 def power(ctx, a, e: int):

@@ -27,9 +27,11 @@ from splitlaw import (
     factorize,
     is_prime,
 )
-from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod, _prem, _qpowmod
-from splitlaw.poly import _divmod_raw, _mul_raw, _norm
+from splitlaw.ff import _pddf, _pirreducible, _pnorm, _ppowmod, _prem
+from splitlaw.ff import _qdivmod, _qgcd, _qmul, _qpowmod, _qxgcd
+from splitlaw.poly import _mul_raw, _norm
 
+import oracles
 from oracles import elements, evaluate, power
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 97, 101]
@@ -109,8 +111,8 @@ def test_zero_exponent_gives_one_even_at_zero(f25):
             assert _ppowmod(a, 0, m, 5) == (1,)
     zero, one = f25.zero, f25.one
     for m in (((2, 0),), ((1, 0), (1, 0)), ((3, 4), zero, (2, 1))):
-        assert _qpowmod((), 0, m, f25.modulus, 5) == (one,)
-        assert _qpowmod((zero,), 0, m, f25.modulus, 5) == (one,)
+        assert _qpowmod((), 0, m, f25) == (one,)
+        assert _qpowmod((zero,), 0, m, f25) == (one,)
 
 
 def test_zero_has_no_inverse(f31):
@@ -301,15 +303,39 @@ def test_ppowmod_matches_sympy_at_the_sweep_exponents(p, degrees):
 _cached_ext = functools.lru_cache(maxsize=None)(ext_new)
 
 
-def powmod_by_divmod(ctx, a, e, m):
-    """a^e mod m by right-to-left squaring with the generic product and division."""
-    r, b = (ctx.one,), _divmod_raw(ctx, a, m)[1]
-    while e:
-        if e & 1:
-            r = _divmod_raw(ctx, _mul_raw(ctx, r, b), m)[1]
-        b = _divmod_raw(ctx, _mul_raw(ctx, b, b), m)[1]
-        e >>= 1
-    return r
+@given(
+    p=st.sampled_from([3, 5, 7, 65521, 2**31 - 1]),
+    k=st.integers(1, 7),
+    da=st.integers(-1, 8),
+    db=st.integers(-1, 8),
+    top=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+# the widest field and degrees, every coefficient p - 1 but b's lead, which is 1
+@example(p=2**31 - 1, k=7, da=8, db=8, top=True, seed=0)
+@example(p=2**31 - 1, k=7, da=8, db=1, top=True, seed=0)
+@example(p=2**31 - 1, k=7, da=8, db=8, top=False, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_flat_kernel_matches_the_reference(p, k, da, db, top, seed):
+    """F_{p^k}[x] product, division, gcd and xgcd equal the context-generic loops."""
+    ctx = _cached_ext(p, k, seed=k)
+    rng = random.Random(seed)
+
+    def poly(d):
+        if top:
+            return ((p - 1,) * k,) * (d + 1)
+        return _norm([ctx.rand_raw(rng) for _ in range(d + 1)], ctx.zero)
+
+    a, b = poly(da), poly(db)
+    if top and b:
+        b = b[:-1] + (ctx.one,)
+    assert _qmul(a, b, ctx) == oracles.mul(ctx, a, b)
+    if b:
+        assert _qdivmod(a, b, ctx) == oracles.divmod_(ctx, a, b)
+    if a or b:
+        g = oracles.xgcd(ctx, a, b)
+        assert _qxgcd(a, b, ctx) == g
+        assert _qgcd(a, b, ctx) == g[0]
 
 
 @given(
@@ -323,6 +349,8 @@ def powmod_by_divmod(ctx, a, e, m):
     seed=st.integers(0, 2**32),
 )
 @example(p=7, k=3, n=4, monic=True, is_x=True, length=0, e=7**3, seed=0)  # x^e by shifts
+# the widest lanes: largest p, k and n, and a square then a product at every step
+@example(p=2**31 - 1, k=7, n=8, monic=False, is_x=False, length=20, e=2**64 - 1, seed=0)
 @settings(max_examples=120, deadline=None)
 def test_qpowmod_matches_mul_and_divmod(p, k, n, monic, is_x, length, e, seed):
     """F_{p^k}, k = 1 a degree-1 extension; deg m 1 to 8; a = x or up to 20 terms."""
@@ -335,8 +363,8 @@ def test_qpowmod_matches_mul_and_divmod(p, k, n, monic, is_x, length, e, seed):
         a = (ctx.zero, ctx.one)
     else:
         a = _norm([ctx.rand_raw(rng) for _ in range(length)], ctx.zero)
-    want = powmod_by_divmod(ctx, a, e, tuple(m))
-    assert _qpowmod(a, e, tuple(m), ctx.modulus, p) == want
+    want = oracles.powmod(ctx, a, e, tuple(m))
+    assert _qpowmod(a, e, tuple(m), ctx) == want
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 2), (7, 3), (65521, 4), (2**31 - 1, 7)])
@@ -348,16 +376,16 @@ def test_qpowmod_fixed_cases(p, k):
     c = ctx.element(rng.randrange(1, p))
     r = ctx.rand_raw(rng)
     # e = 0 gives one whatever m is, a constant m included
-    assert _qpowmod(a, 0, (ctx.zero, c), ctx.modulus, p) == one
-    assert _qpowmod(a, 0, (c,), ctx.modulus, p) == one
+    assert _qpowmod(a, 0, (ctx.zero, c), ctx) == one
+    assert _qpowmod(a, 0, (c,), ctx) == one
     # modulo a constant every power of positive degree is zero
-    assert _qpowmod(a, 5, (c,), ctx.modulus, p) == ()
+    assert _qpowmod(a, 5, (c,), ctx) == ()
     # n = 1: modulo c*(x - r), a^e is a(r)^e
     m = (ctx.mul(c, ctx.neg(r)), c)
     a_at_r = evaluate(Polynomial._raw(ctx, a), r)
     for e in (1, 2, 3, p, rng.getrandbits(64)):
         want = power(ctx, a_at_r, e)
-        assert _qpowmod(a, e, m, ctx.modulus, p) == ((want,) if any(want) else ())
+        assert _qpowmod(a, e, m, ctx) == ((want,) if any(want) else ())
 
 
 @given(

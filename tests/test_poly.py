@@ -29,9 +29,11 @@ from splitlaw import (
     two_torsion_points,
 )
 from splitlaw import ff
+from splitlaw.reciprocity import frobenius_sweep
 from splitlaw.poly import _add_raw, _divmod_raw, _exact_div_raw, _gcd_raw, _mul_raw
 from splitlaw.poly import _equal_degree_split, _powmod_raw, _sub_raw, _trace_split, _xgcd_raw
 
+import oracles
 from oracles import elements, embed_poly, evaluate, power
 
 X = sympy.Symbol("x")
@@ -115,9 +117,10 @@ def test_xgcd_bezout_identity(p, da, db, seed):
     if a.is_zero and b.is_zero:
         return
     g, s, t = _xgcd_raw(ctx, a.coeffs, b.coeffs)
-    assert _add_raw(ctx, _mul_raw(ctx, s, a.coeffs), _mul_raw(ctx, t, b.coeffs)) == g
+    # the identity and the divisibility are checked with the reference loops
+    assert _add_raw(ctx, oracles.mul(ctx, s, a.coeffs), oracles.mul(ctx, t, b.coeffs)) == g
     assert g[-1] == 1
-    assert not _divmod_raw(ctx, a.coeffs, g)[1] and not _divmod_raw(ctx, b.coeffs, g)[1]
+    assert not oracles.divmod_(ctx, a.coeffs, g)[1] and not oracles.divmod_(ctx, b.coeffs, g)[1]
     assert _gcd_raw(ctx, a.coeffs, b.coeffs) == g
 
 
@@ -131,8 +134,9 @@ def test_xgcd_bezout_identity(p, da, db, seed):
 @example(p=7, a=[1, 2, 3], b=[4], e=5)
 @settings(max_examples=120, deadline=None)
 def test_prime_field_kernel_matches_generic_path(p, a, b, e):
-    # F_p as a degree-1 extension has 1-tuple elements, so its polynomials
-    # take the context-generic loops and serve as the reference.
+    # The reference is oracles' context-generic loops over F_p as a degree-1
+    # extension, whose elements are 1-tuples; the same polynomials over that
+    # extension also take the flat F_{p^k}[x] kernel at k = 1.
     ctx = PrimeFieldContext(p)
     ref = ExtFieldContext(ctx, (0, 1))
 
@@ -141,17 +145,21 @@ def test_prime_field_kernel_matches_generic_path(p, a, b, e):
 
     a, b = Polynomial(ctx, a).coeffs, Polynomial(ctx, b).coeffs
     ra, rb = lift(a, b)
-    assert lift(_mul_raw(ctx, a, b)) == (_mul_raw(ref, ra, rb),)
+    want = oracles.mul(ref, ra, rb)
+    assert lift(_mul_raw(ctx, a, b)) == (want,) == (_mul_raw(ref, ra, rb),)
     if b:
-        assert lift(*_divmod_raw(ctx, a, b)) == _divmod_raw(ref, ra, rb)
-        assert lift(_powmod_raw(ctx, a, e, b)) == (_powmod_raw(ref, ra, e, rb),)
+        want = oracles.divmod_(ref, ra, rb)
+        assert lift(*_divmod_raw(ctx, a, b)) == want == _divmod_raw(ref, ra, rb)
+        want = oracles.powmod(ref, ra, e, rb)
+        assert lift(_powmod_raw(ctx, a, e, b)) == (want,) == (_powmod_raw(ref, ra, e, rb),)
         if e == 0:
             assert _powmod_raw(ctx, a, e, b) == (1,)
     if a or b:
-        assert lift(_gcd_raw(ctx, a, b)) == (_gcd_raw(ref, ra, rb),)
+        want = oracles.xgcd(ref, ra, rb)
+        assert lift(_gcd_raw(ctx, a, b)) == want[:1] == (_gcd_raw(ref, ra, rb),)
         g, s, t = _xgcd_raw(ctx, a, b)
-        assert _add_raw(ctx, _mul_raw(ctx, s, a), _mul_raw(ctx, t, b)) == g
-        assert lift(g, s, t) == _xgcd_raw(ref, ra, rb)
+        assert _add_raw(ctx, oracles.mul(ctx, s, a), oracles.mul(ctx, t, b)) == g
+        assert lift(g, s, t) == want == _xgcd_raw(ref, ra, rb)
 
 
 def test_pow_mod_agrees_with_naive_power():
@@ -438,7 +446,8 @@ def test_equal_degree_split_gives_up_after_128_draws():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_trace_split_gives_up_after_128_draws(k):
-    # a = b = 0 at every draw, so T = 0 and neither gcd is a proper factor
+    # a = b = 0 at every draw, so T = 0, T^((p - 1)/2) - 1 = -1, and the
+    # draw's one gcd is 1, never a proper factor
     h = (2, 2, 1)  # (x - 1)(x - 2) over F_5
     ctx = ext_new(5, k, seed=1)
     g = tuple(ctx.embed(c) for c in h)
@@ -447,6 +456,19 @@ def test_trace_split_gives_up_after_128_draws(k):
     with pytest.raises(RuntimeError, match="failed to converge"):
         _trace_split(ctx, g, xs, rng)
     assert rng.calls == 128 * 2 * k
+
+
+def test_trace_split_runs_one_gcd_per_draw(monkeypatch):
+    # each draw costs one F_{p^k}[x] gcd, gcd(T^((p - 1)/2) - 1, g); with
+    # gcd(T, g) on every draw too, this sweep ran 103 of them
+    gcds, draws = [], []
+    qgcd, rand_raw = ff._qgcd, ff.ExtFieldContext.rand_raw
+    monkeypatch.setattr(ff, "_qgcd", lambda *a: gcds.append(a) or qgcd(*a))
+    monkeypatch.setattr(
+        ff.ExtFieldContext, "rand_raw", lambda self, rng: draws.append(rng) or rand_raw(self, rng)
+    )
+    frobenius_sweep(IntegerPolynomial([-1, -1, 0, 0, 0, 1]), 100, seed=271828)
+    assert len(gcds) == len(draws) // 2 == 59  # a and b: two elements per draw
 
 
 def test_embed_poly_respects_evaluation():
@@ -509,9 +531,4 @@ def test_pow_mod_over_extension_runs_on_the_kernel(monkeypatch):
     result = a.pow_mod(e, m)
     assert calls < 4 * m.degree
     monkeypatch.undo()
-    want = (ctx.one,)
-    for bit in bin(e)[2:]:  # left to right by generic products and remainders
-        want = _divmod_raw(ctx, _mul_raw(ctx, want, want), m.coeffs)[1]
-        if bit == "1":
-            want = _divmod_raw(ctx, _mul_raw(ctx, want, a.coeffs), m.coeffs)[1]
-    assert result.coeffs == want
+    assert result.coeffs == oracles.powmod(ctx, a.coeffs, e, m.coeffs)

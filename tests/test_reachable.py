@@ -41,6 +41,7 @@ RUNS = [
 
 # name: why no command reaches it
 ALLOWED = {
+    "ExtFieldContext.add": "sums of F_{p^k}[x] polynomials; no command adds classes over an extension",
     "ExtFieldContext.element": "int conversion over F_{p^k}; commands build F_p polynomials",
     "PrimeFieldContext.add": "Cantor add sums v coefficients; commands add only v = 0 classes",
     "PrimeFieldContext.char": "perfbench/tracer.py reads it for a span's prime; the package reads .p",

@@ -5,7 +5,10 @@ The tracer replaces public functions and methods of the package by name
 renaming or deleting one breaks traced runs while every plain run passes.
 Each command here runs twice in a subprocess, under the tracer and plain:
 the traced run must exit 0, write a metrics document, and write the same
-report bytes as the plain one.
+report bytes as the plain one. On the quintic's frobenius sweep, the
+counters that perfbench/check_spans.py requires of its frobenius-quintic
+workload must be nonzero, so moving the F_{p^k} kernel cannot leave one
+of them recording nothing.
 """
 
 import json
@@ -22,6 +25,16 @@ COMMANDS = [
     ["frobenius", "x^5-x-1", "--bound", "60"],
     ["frobenius", "x^3-2", "--bound", "300"],  # some primes split f: roots in ext_new(p, 1)
 ]
+# counters each command's traced run must record (check_spans.py's frobenius-quintic list)
+EXERCISED = {
+    1: (
+        "poly.pow_mod.calls",
+        "poly.roots_in.calls",
+        "torsion.frobenius.calls",
+        "ff.ext_new.calls",
+        "ff.ext_mul.calls",
+    ),
+}
 
 
 def test_traced_runs_exit_zero_and_match_plain_runs(tmp_path):
@@ -39,7 +52,10 @@ def test_traced_runs_exit_zero_and_match_plain_runs(tmp_path):
                 [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
             )
             assert done.returncode == 0, (argv, done.stderr)
-        assert isinstance(json.loads(metrics.read_text()), dict)
+        layers = json.loads(metrics.read_text())
+        assert isinstance(layers, dict)
+        for name in EXERCISED.get(i, ()):
+            assert layers[name] > 0, f"{name} recorded nothing on {argv}"
         assert traced.read_bytes() == plain.read_bytes(), argv
     elapsed = time.perf_counter() - t0
     assert elapsed < 3.0, f"the traced and plain runs took {elapsed:.2f} s"
