@@ -1,11 +1,14 @@
 """Command-line front end: parsing, dispatch, and JSON/CSV/text reports.
 
-Every invocation emits a single report envelope that echoes the full
-configuration (including the seed), so any number in a report can be
-reproduced from the report alone. Envelopes are serialized with sorted
-keys and no timestamp by default, making byte-identical output a property
-of the configuration; pass --stamp to record wall-clock time at the cost
-of that reproducibility.
+Every invocation emits a single report envelope whose config echoes the
+subcommand's own parsed options (the seed included), so any number in a
+report can be reproduced from the report alone. Options that change no
+content are left out: the command, which the envelope names, the format and
+destination, --stamp, which generated_at records, and --workers, which only
+schedules the work. The envelope's revision numbers its layout. Envelopes
+are serialized with sorted keys and no timestamp by default, making
+byte-identical output a property of the configuration; pass --stamp to
+record wall-clock time at the cost of that reproducibility.
 
 Exit codes: 0 on success (including a failing inclusion test, which is a
 valid answer), 1 on usage or input errors, 2 when a verify sweep finds a
@@ -40,24 +43,9 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INTERNAL = 3
 
-
-@dataclasses.dataclass
-class RunConfig:
-    """Everything a subcommand needs; echoed verbatim into the report."""
-
-    command: str
-    polynomials: tuple[str, ...] = ()
-    prime: int | None = None
-    bound: int | None = None
-    seed: int = DEFAULT_SEED
-    fmt: str = "json"
-    output: str | None = None
-    workers: int = 1
-    ext_cap: int = ff.DEFAULT_EXT_CAP
-    group_order: int | None = None
-    genus: int | None = None
-    coeffs: tuple[int, ...] | None = None
-    stamp: bool = False
+REPORT_REVISION = 2
+# parsed options that the config echo leaves out, as they change no content
+UNECHOED = frozenset({"command", "fmt", "output", "stamp", "workers"})
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +195,11 @@ def _reduce_mod(f: IntegerPolynomial, p: int) -> Polynomial:
     return fbar
 
 
-def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_factor(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     (f,) = polys
-    p = config.prime
+    p = args.prime
     fbar = _reduce_mod(f, p)
-    with reciprocity.at_prime(config.seed, p) as seed:
+    with reciprocity.at_prime(args.seed, p) as seed:
         fact = factorize(fbar, seed)
     st = fact.splitting_type()
     factors = [
@@ -235,12 +223,12 @@ def _cmd_factor(config: RunConfig, polys: list[IntegerPolynomial]):
     return payload, "factors", fields, EXIT_OK
 
 
-def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_torsion(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     (f,) = polys
-    p = config.prime
+    p = args.prime
     fbar = _reduce_mod(f, p)
     curve = jacobian.HyperellipticCurve(fbar)
-    with reciprocity.at_prime(config.seed, p) as seed:
+    with reciprocity.at_prime(args.seed, p) as seed:
         sub = torsion.two_torsion_points(curve, seed=seed)
     elements = [
         {"u": _field_poly_json(D.u), "v": _field_poly_json(D.v)}
@@ -258,11 +246,9 @@ def _cmd_torsion(config: RunConfig, polys: list[IntegerPolynomial]):
     return payload, "elements", ["u", "v"], EXIT_OK
 
 
-def _cmd_verify(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_verify(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     (f,) = polys
-    report = reciprocity.verify_law(
-        f, config.bound, seed=config.seed, workers=config.workers
-    )
+    report = reciprocity.verify_law(f, args.bound, seed=args.seed, workers=args.workers)
     payload = {
         "polynomial": _poly_json(f),
         "genus": report.genus,
@@ -280,28 +266,28 @@ def _cmd_verify(config: RunConfig, polys: list[IntegerPolynomial]):
     return payload, "records", fields, status
 
 
-def _cmd_spl(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_spl(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     (f,) = polys
-    primes = reciprocity.spl_set(f, config.bound)
+    primes = reciprocity.spl_set(f, args.bound)
     payload = {
         "polynomial": _poly_json(f),
-        "bound": config.bound,
+        "bound": args.bound,
         "count": len(primes),
         "primes": [{"p": p} for p in primes],
     }
     return payload, "primes", ["p"], EXIT_OK
 
 
-def _cmd_density(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_density(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     (f,) = polys
-    record = _record_json(reciprocity.density_report(f, config.bound, config.group_order))
+    record = _record_json(reciprocity.density_report(f, args.bound, args.group_order))
     payload = {"polynomial": _poly_json(f), "records": [record]}
     return payload, "records", list(record), EXIT_OK
 
 
-def _cmd_include(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_include(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     f, h = polys
-    rep = reciprocity.inclusion_check(f, h, config.bound)
+    rep = reciprocity.inclusion_check(f, h, args.bound)
     payload = {
         "f": _poly_json(f),
         "h": _poly_json(h),
@@ -315,14 +301,12 @@ def _cmd_include(config: RunConfig, polys: list[IntegerPolynomial]):
     return payload, "exceptions", ["p"], EXIT_OK
 
 
-def _cmd_frobenius(config: RunConfig, polys: list[IntegerPolynomial]):
+def _cmd_frobenius(args: argparse.Namespace, polys: list[IntegerPolynomial]):
     (f,) = polys
-    records = reciprocity.frobenius_sweep(
-        f, config.bound, seed=config.seed, cap=config.ext_cap
-    )
+    records = reciprocity.frobenius_sweep(f, args.bound, seed=args.seed, cap=args.ext_cap)
     payload = {
         "polynomial": _poly_json(f),
-        "bound": config.bound,
+        "bound": args.bound,
         "size": 2 * ((f.degree - 1) // 2),
         "records": [_record_json(r) for r in records],
     }
@@ -330,8 +314,14 @@ def _cmd_frobenius(config: RunConfig, polys: list[IntegerPolynomial]):
     return payload, "records", fields, EXIT_OK
 
 
-def _cmd_blowup(config: RunConfig, polys: list[IntegerPolynomial]):
-    charts = torsion.blowup_chain(config.genus, config.coeffs, config.prime)
+def _cmd_blowup(args: argparse.Namespace, polys: list[IntegerPolynomial]):
+    try:
+        coeffs = [int(c) for c in args.coeffs.split(",")]
+    except ValueError:
+        raise PolynomialSyntaxError(
+            "coefficients must be a comma-separated integer list", position=0
+        ) from None
+    charts = torsion.blowup_chain(args.genus, coeffs, args.prime)
     records = [
         {
             "step": c.step,
@@ -347,9 +337,9 @@ def _cmd_blowup(config: RunConfig, polys: list[IntegerPolynomial]):
         for c in charts
     ]
     payload = {
-        "genus": config.genus,
-        "p": config.prime,
-        "coefficients": list(config.coeffs),
+        "genus": args.genus,
+        "p": args.prime,
+        "coefficients": coeffs,
         "rounds": len(records),
         "charts": records,
     }
@@ -381,23 +371,16 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _envelope(config: RunConfig, payload: dict, exit_status: int) -> dict:
+def _envelope(args: argparse.Namespace, payload: dict, exit_status: int) -> dict:
     stamp = None
-    if config.stamp:
+    if args.stamp:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    echo = dataclasses.asdict(config)
-    # workers and output affect scheduling and destination, never content;
-    # dropping them keeps equal-config reports byte-identical across widths
-    del echo["workers"]
-    del echo["output"]
-    # no code reads enum_cap; the fixed value stays only so that report bytes
-    # do not change
-    echo["enum_cap"] = 10**6
     return {
         "tool": "splitlaw",
         "version": __version__,
-        "command": config.command,
-        "config": echo,
+        "revision": REPORT_REVISION,
+        "command": args.command,
+        "config": {key: value for key, value in vars(args).items() if key not in UNECHOED},
         "generated_at": stamp,
         "payload": payload,
         "exit_status": exit_status,
@@ -420,16 +403,16 @@ def _render_csv(records: list[dict], fieldnames: list[str]) -> str:
 
 
 def _render_text(
-    config: RunConfig, payload: dict, records_key: str, exit_status: int
+    args: argparse.Namespace, payload: dict, records_key: str, exit_status: int
 ) -> str:
-    lines = [f"splitlaw {config.command}"]
+    lines = [f"splitlaw {args.command}"]
     skip = {records_key, "violations"}
     for key, value in payload.items():
         if key in skip:
             continue
         lines.append(f"  {key}: {_cell(value)}")
     lines.append(f"  {records_key}: {len(payload[records_key])}")
-    if config.command == "verify" and payload["violations"]:
+    if args.command == "verify" and payload["violations"]:
         lines.append("  VIOLATIONS:")
         for r in payload["violations"]:
             lines.append(f"    {_cell(r)}")
@@ -437,32 +420,32 @@ def _render_text(
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand and write its report; returns the exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed subcommand and write its report; returns the exit code."""
     try:
-        if config.bound is not None and config.bound < 2:
+        bound = getattr(args, "bound", None)
+        if bound is not None and bound < 2:
             raise SplitlawError("bound must be >= 2")
         # refused here, before a sieve as large as the bound is allocated
-        if config.bound is not None and config.bound >= ff.MODULUS_BOUND:
-            raise SplitlawError(f"bound must be below 2**31, got {config.bound}")
-        if config.workers < 1:
-            raise SplitlawError(f"workers must be >= 1, got {config.workers}")
-        if config.ext_cap < 1:
-            raise SplitlawError(f"ext-cap must be >= 1, got {config.ext_cap}")
-        out = config.output
+        if bound is not None and bound >= ff.MODULUS_BOUND:
+            raise SplitlawError(f"bound must be below 2**31, got {bound}")
+        if getattr(args, "workers", 1) < 1:
+            raise SplitlawError(f"workers must be >= 1, got {args.workers}")
+        if getattr(args, "ext_cap", 1) < 1:
+            raise SplitlawError(f"ext-cap must be >= 1, got {args.ext_cap}")
+        out = args.output
         if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
             raise SplitlawError(f"output {out!r} is a directory, or its directory does not exist")
-        polys = [parse_polynomial(text) for text in config.polynomials]
-        for text, f in zip(config.polynomials, polys):
+        texts = [getattr(args, key) for key in ("polynomial", "f", "h") if key in args]
+        polys = [parse_polynomial(text) for text in texts]
+        for text, f in zip(texts, polys):
             if not f.is_monic:
                 print(
                     f"warning: {text!r} is not monic (leading coefficient "
                     f"{f.coeffs[-1] if f.coeffs else 0})",
                     file=sys.stderr,
                 )
-        payload, records_key, fieldnames, status = _COMMANDS[config.command](
-            config, polys
-        )
+        payload, records_key, fieldnames, status = _COMMANDS[args.command](args, polys)
     except PolynomialSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -477,15 +460,15 @@ def run(config: RunConfig) -> int:
         print(f"error: internal: {type(exc).__name__}: {exc}{notes}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    if config.fmt == "json":
-        text = json.dumps(_envelope(config, payload, status), sort_keys=True, indent=2) + "\n"
-    elif config.fmt == "csv":
+    if args.fmt == "json":
+        text = json.dumps(_envelope(args, payload, status), sort_keys=True, indent=2) + "\n"
+    elif args.fmt == "csv":
         text = _render_csv(payload[records_key], fieldnames)
     else:
-        text = _render_text(config, payload, records_key, status)
+        text = _render_text(args, payload, records_key, status)
     try:
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -599,32 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    names = {field.name for field in dataclasses.fields(RunConfig)}
-    values = {key: value for key, value in given.items() if key in names}
-    values["polynomials"] = tuple(
-        given[key] for key in ("polynomial", "f", "h") if key in given
-    )
-    if "coeffs" in values:
-        try:
-            values["coeffs"] = tuple(int(c) for c in values["coeffs"].split(","))
-        except ValueError:
-            raise PolynomialSyntaxError(
-                "coefficients must be a comma-separated integer list", position=0
-            ) from None
-    return RunConfig(**values)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except PolynomialSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -612,20 +612,23 @@ class ExtFieldContext:
 FieldContext = Union[PrimeFieldContext, ExtFieldContext]
 
 
-def ext_new(p: int, k: int, seed, *, cap: int = DEFAULT_EXT_CAP) -> ExtFieldContext:
-    """Construct F_{p^k} with a monic irreducible modulus found by seeded search.
+def ext_new(
+    base: PrimeFieldContext, k: int, seed, *, cap: int = DEFAULT_EXT_CAP
+) -> ExtFieldContext:
+    """F_{p^k} over base = F_p, with a monic irreducible modulus found by seeded search.
 
     The search draws random monic candidates of degree k and keeps the first
     irreducible one, so the resulting context is reproducible for a fixed
-    seed. Degrees above ``cap`` are refused.
+    seed. Degrees above ``cap`` are refused. The base is taken as built, so
+    p is not tested for primality again.
     """
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     if k > cap:
         raise ExtensionTooLarge(f"extension degree {k} exceeds cap {cap}")
-    base = PrimeFieldContext(p)
     if k == 1:
         return ExtFieldContext(base, (0, 1))
+    p = base.p
     rng = random.Random(seed)
     while True:
         cand = [rng.randrange(p) for _ in range(k)] + [1]

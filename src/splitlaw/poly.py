@@ -18,7 +18,7 @@ randomness is an explicit seed, and factors are returned in a canonical
 order, so results are reproducible.
 
 Root finding takes f with F_p coefficients and a field F_q, q = p^k, always
-an extension context, k >= 1 (F_p itself is ext_new(p, 1)), and has a
+an extension context, k >= 1 (F_p itself is ext_new(F_p, 1)), and has a
 descent of its own. It isolates one root of each F_p factor of
 gcd(x^q - x, f) by trace splitting over F_q and reads the others off its
 Frobenius orbit r -> r^p (von zur Gathen & Gerhard, Modern Computer
@@ -419,10 +419,10 @@ def roots_in(f: Polynomial, ctx: ff.ExtFieldContext, seed) -> list:
     divided out of h. The descent draws from random.Random(seed), but the
     roots are returned as raw values in ascending order, so the result does
     not depend on the seed. f must have F_p coefficients, and ctx is an
-    extension context even at k = 1: F_p is ext_new(p, 1), roots 1-tuples.
+    extension context even at k = 1: F_p is ext_new(F_p, 1), roots 1-tuples.
     """
     if not isinstance(ctx, ff.ExtFieldContext):
-        raise ValueError("roots_in needs an extension context; take F_p as ext_new(p, 1)")
+        raise ValueError("roots_in needs an extension context; take F_p as ext_new(F_p, 1)")
     if f.is_zero:
         raise ValueError("the zero polynomial has every element as a root")
     if f.ctx != ctx.base:

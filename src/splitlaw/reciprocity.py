@@ -320,14 +320,18 @@ class FrobeniusRecord:
     The matrix is derived from the permutation in the embedded-root basis
     v_i = (x - r_i, 0), i <= 2g, by the relation v_{2g+1} = v_1 + ... + v_2g;
     no divisor is built. tests/oracles.py builds that basis by Cantor
-    addition and checks it.
+    addition and checks it. Roots are labelled factor by factor, in
+    factorize's order, and along each factor's Frobenius orbit, so the
+    permutation and matrix depend only on the factor degrees of f mod p.
+    The three orders are one number: the lcm of the cycle lengths, checked
+    against the matrix order.
     """
 
     p: int
     splitting_degree: int  # order of Frobenius on the roots, for squarefree f mod p
     matrix: tuple[tuple[int, ...], ...]  # rows of the matrix in GL_2g(F_2)
-    order: int
-    permutation: tuple[int, ...]  # image index of each root, canonical order
+    order: int  # of the matrix
+    permutation: tuple[int, ...]  # image index of each root, labelled as above
     permutation_order: int
     is_identity: bool
     splits_completely: bool
@@ -340,6 +344,8 @@ def _frobenius_record(
 
     The sign of the permutation must be (disc f / p), by Stickelberger's
     theorem; that checks the roots, their field and their order together.
+    The matrix order must be the lcm of the cycle lengths, for a faithful
+    action on J_f[2].
     """
     with at_prime(seed, p) as derived:
         chi, split = _split_at(f, disc, p)
@@ -349,9 +355,11 @@ def _frobenius_record(
             raise RuntimeError(f"Frobenius permutation {perm} has sign {-chi}")
         M = permutation_matrix(perm)
         order = math.lcm(*cycles)
+        if M.order() != order:
+            raise RuntimeError(f"Frobenius matrix has order {M.order()}, its permutation {order}")
         return FrobeniusRecord(
             p=p, splitting_degree=order, matrix=tuple(map(tuple, M.to_lists())),
-            order=M.order(), permutation=tuple(perm), permutation_order=order,
+            order=order, permutation=tuple(perm), permutation_order=order,
             is_identity=M.is_identity, splits_completely=split,
         )
 

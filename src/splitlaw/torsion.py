@@ -11,7 +11,11 @@ Over the splitting field, the classes v_i = (x - r_i, 0) of the 2g+1 roots
 span the full 2-torsion with the one relation v_{2g+1} = v_1 + ... + v_2g,
 so v_1..v_2g is a basis; the Frobenius permutation of roots then turns into
 an invertible 2g x 2g matrix over F_2. The matrix is derived from the
-permutation alone; tests/oracles.py builds the basis and checks it. The
+permutation alone; tests/oracles.py builds the basis and checks it. It is
+fixed only up to the labelling of the roots, which follows the factors of
+f mod p in factorize's order and, within each factor, the Frobenius orbit
+from its least root; so permutation and matrix depend only on the factor
+degrees (Dedekind: the cycle type), not on the seeded field modulus. The
 curve's singularity at infinity resolves through g - 1 chart substitutions
 ending in a cusp normal form; that chain is fixed by g, so it is written
 down directly rather than computed.
@@ -84,10 +88,14 @@ def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
 
 
 def _splitting_data(f: Polynomial, p: int, seed, cap: int):
-    """Splitting field ext_new(p, k) of f mod p, k >= 1, and the roots of f in it.
+    """Splitting field ext_new(F_p, k) of f mod p, k >= 1, and the roots of f in it.
 
-    The roots, raw k-tuples in ascending order, are found one irreducible
-    factor of f mod p at a time.
+    The roots, raw k-tuples, are listed factor by factor in factorize's
+    canonical order; each factor's roots follow its Frobenius orbit r, r^p,
+    ..., from its least root r. So Frobenius maps each root to the next one
+    of its factor, and the permutation depends only on the factor degrees.
+    A factor whose roots are not one orbit of its degree raises
+    RuntimeError.
     """
     if not isinstance(f.ctx, ff.PrimeFieldContext) or f.ctx.p != p:
         raise ValueError(f"polynomial is not over F_{p}")
@@ -95,13 +103,20 @@ def _splitting_data(f: Polynomial, p: int, seed, cap: int):
     if any(m > 1 for _, m in fact.factors):
         raise NotSquarefree(f"polynomial is not squarefree mod {p}")
     k = math.lcm(*(part.degree for part, _ in fact.factors))
-    ctx = ff.ext_new(p, k, seed, cap=cap)
-    roots = tuple(sorted(e for part, _ in fact.factors for e in roots_in(part, ctx, seed)))
-    if len(roots) != f.degree:
-        raise RuntimeError(
-            f"found {len(roots)} roots in F_{p}^{k}, expected {f.degree}"
-        )
-    return ctx, roots
+    ctx = ff.ext_new(f.ctx, k, seed, cap=cap)
+    roots = []
+    for part, _ in fact.factors:
+        found = roots_in(part, ctx, seed)  # ascending
+        orbit = found[:1]
+        while 0 < len(orbit) < part.degree:
+            orbit.append(ctx.frobenius(orbit[-1]))
+        if not orbit or sorted(orbit) != found or ctx.frobenius(orbit[-1]) != orbit[0]:
+            raise RuntimeError(
+                f"the roots of a degree-{part.degree} factor in F_{p}^{k} "
+                f"are not one Frobenius orbit"
+            )
+        roots.extend(orbit)
+    return ctx, tuple(roots)
 
 
 class BinaryMatrix:
@@ -195,7 +210,13 @@ class BinaryMatrix:
 def frobenius_permutation(
     f: Polynomial, p: int, seed, *, cap: int = ff.DEFAULT_EXT_CAP
 ) -> list[int]:
-    """Image indices of the roots of f mod p under x -> x^p, canonical order."""
+    """Image indices of the roots of f mod p under x -> x^p.
+
+    Roots are labelled as _splitting_data lists them: factor by factor in
+    factorize's order, each factor's roots along their Frobenius orbit. So
+    each factor of degree d at index i is the cycle i -> i + 1 -> ... ->
+    i + d - 1 -> i, read here from the images found in the field.
+    """
     ctx, roots = _splitting_data(f, p, seed, cap)
     index = {e: i for i, e in enumerate(roots)}
     perm = []

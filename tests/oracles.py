@@ -184,7 +184,7 @@ class TorsionBasis:
 
     ctx: ff.FieldContext  # splitting field of f mod p
     curve: HyperellipticCurve  # base-changed curve over ctx
-    roots: tuple  # all 2g+1 raw roots, ascending
+    roots: tuple  # all 2g+1 raw roots, by factor and Frobenius orbit
     basis: tuple[MumfordDivisor, ...]  # embedded roots 1..2g
 
 

@@ -5,6 +5,7 @@ output is required to agree with the JSON records cell by cell, so the
 two formats can never drift apart silently.
 """
 
+import argparse
 import concurrent.futures
 import csv
 import dataclasses
@@ -25,6 +26,7 @@ from splitlaw import (
     factorize,
     reciprocity,
     sieve_primes,
+    torsion,
 )
 from splitlaw.cli import _cell, main, parse_polynomial
 
@@ -126,10 +128,9 @@ def test_factor_envelope(capsys, schema):
     assert doc["tool"] == "splitlaw"
     assert doc["version"] == __version__
     assert doc["command"] == "factor"
+    assert doc["revision"] == 2
     assert doc["generated_at"] is None
-    assert doc["config"]["prime"] == 31
-    assert doc["config"]["seed"] == 271828
-    assert "workers" not in doc["config"] and "output" not in doc["config"]
+    assert doc["config"] == {"polynomial": "x^3-2", "prime": 31, "seed": 271828}
     payload = doc["payload"]
     assert payload["all_linear"] is True
     assert [f["coefficients"] for f in payload["factors"]] == [
@@ -139,18 +140,51 @@ def test_factor_envelope(capsys, schema):
     ]
 
 
+# one run of each subcommand, each option it has given
+ONE_RUN_EACH = [
+    ["factor", "x^5+1", "-p", "5"],
+    ["torsion", "x^3-2", "-p", "31"],
+    ["verify", "x^3-2", "--bound", "100", "--workers", "1"],
+    ["spl", "x^3-2", "--bound", "100"],
+    ["density", "x^3-2", "--bound", "200", "--group-order", "6"],
+    ["include", "x^3-2", "x^2+3", "--bound", "100"],
+    ["frobenius", "x^5-x-1", "--bound", "100", "--ext-cap", "6"],
+    ["blowup", "--genus", "2", "--coeffs", "1,2,3,4,5", "-p", "7"],
+]
+# parsed options that change no report content, so no config echoes them
+UNECHOED = {"command", "fmt", "output", "stamp", "workers"}
+
+
 def test_all_commands_validate(capsys, schema):
-    for argv in (
-        ["factor", "x^5+1", "-p", "5"],
-        ["torsion", "x^3-2", "-p", "31"],
-        ["verify", "x^3-2", "--bound", "100"],
-        ["spl", "x^3-2", "--bound", "100"],
-        ["density", "x^3-2", "--bound", "200", "--group-order", "6"],
-        ["include", "x^3-2", "x^2+3", "--bound", "100"],
-        ["frobenius", "x^3-2", "--bound", "50"],
-        ["blowup", "--genus", "2", "--coeffs", "1,2,3,4,5", "-p", "7"],
-    ):
+    for argv in ONE_RUN_EACH:
         run_json(capsys, schema, *argv)
+
+
+def test_payloads_do_not_depend_on_the_seed(capsys, schema):
+    # seeds drive factorization, root finding and the field modulus, but
+    # the Frobenius labels follow the factors, so no payload shows them
+    for argv in ONE_RUN_EACH:
+        first, second = (
+            run_json(capsys, schema, *argv, "--seed", seed)["payload"]
+            for seed in ("271828", "314159")
+        )
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True), argv
+
+
+def test_config_echoes_each_command_s_own_options(capsys, schema):
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in ONE_RUN_EACH) == sorted(commands.choices)
+    assert cli.UNECHOED == UNECHOED
+    echoed = set()
+    for argv in ONE_RUN_EACH:
+        options = {a.dest for a in commands.choices[argv[0]]._actions} - {"help"}
+        config = run_json(capsys, schema, *argv)["config"]
+        assert set(config) == options - UNECHOED, argv
+        echoed |= set(config)
+    properties = schema["properties"]["config"]["properties"]
+    assert set(properties) == echoed
+    assert not {"enum_cap", "fmt", "stamp", "command"} & set(properties)
 
 
 def test_verify_payload_values(capsys, schema):
@@ -181,9 +215,8 @@ def test_stamp_opts_into_timestamps(capsys, schema):
     stamped = run_json(capsys, schema, "spl", "x^3-2", "--bound", "50", "--stamp")
     assert plain["generated_at"] is None
     assert isinstance(stamped["generated_at"], str)
-    assert stamped["config"]["stamp"] is True
+    # generated_at alone records --stamp: the two reports differ nowhere else
     stamped["generated_at"] = None
-    stamped["config"]["stamp"] = False
     assert stamped == plain
 
 
@@ -216,32 +249,33 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 # sha256 of each report file, pinned so that any change to report bytes
 # fails here; None when the command exits 1 before writing one. The Frobenius
-# sweeps run at two seeds because their root order depends on the seed.
+# sweeps run at two seeds: their roots are labelled by factor and orbit, so
+# the two reports differ only in the echoed seed.
 PINNED_REPORTS = [
     ("verify x^3-2 --bound 3000", 271828, 0,
-     "8279fd4a48889449fda94dbe5d48c1d3b30cd0fd0805e303ec3286580c4e9b42"),
+     "ac72d5dc37e38d7017848d558ed2e89072d89c246d673ac8e4e2de7cb478fb0e"),
     ("verify 3,1,-4,1,5,-9,1,1 --bound 400", 271828, 0,
-     "a79168d166d2204b483fdac80a9fa3061307b73f607dbb20db4d43d6cf2b53c3"),
+     "1dddd24fcc2a05d56e58cde69825a5d9ad7e7a7789c1a32afe3b2e1d9c0e7f14"),
     ("frobenius x^5-x-1 --bound 100", 271828, 0,
-     "45c29130c9411351ec57651da0605d305f13d24d68786706ac417f4923453f07"),
+     "c62d815b8664ec28bc437132fb3bbb6e487636dba857df50090477d5dcd299b8"),
     ("frobenius x^5-x-1 --bound 100", 314159, 0,
-     "c378223ee3c54fc20deb44282aec49a9c6a4c5afcd784eebe49302a9f928eabf"),
+     "3f98e9af18599b74a482199310c8b3ba6872d9958cf532cc04019c5451bcb2f4"),
     ("frobenius 3,1,-4,1,5,-9,1,1 --bound 30", 271828, 0,
-     "a58e9bbd495dd263f37eb0a8c9c2dfb665326baf76cece5afa62e9c239c82c1c"),
+     "7c85c1d02029f36f2bb06cddb54271ad217a4b150fc6e6379d7daa7cf4a75e57"),
     ("frobenius 3,1,-4,1,5,-9,1,1 --bound 30", 314159, 0,
-     "c66a5216886922515d673fb6c75805dcef069423fe97420e8fbb641f5a6a39a6"),
+     "c4977d80953156dfdeb29e5465a51ecaa97f6050104ccb50ace22264bb609c63"),
     ("torsion x^5-x-1 -p 43", 271828, 0,
-     "f9c824a8c51d3d6ecb2ebddd826aa1de7c9b7f153053cf2051f05199de7849a0"),
+     "67cd106c2ef368e50a9d0f713d66a97b701fcf7d9eee16af5696959232ae0090"),
     ("factor x^5-x-1 -p 31", 271828, 0,
-     "ed377201f8c651460c9ca6a7e6b02a99b483c8bfa5b09fa374df7afdcbe7e1f1"),
+     "57d59e2c5db2f1909e9bd803c8b36029e4bbff733114913cd49fa4ec7797bfe1"),
     ("density x^3-2 --group-order 6 --bound 20000", 271828, 0,
-     "be4f0d6ba3379532a8bcf1cdf80345c10361a490f8ee4faefa49253a2a6ca57d"),
+     "b18de00ed60a9bf1997880977b2df6a243cdf2d89319df2b775a915fc31282da"),
     ("spl x^3-2 --bound 2000", 271828, 0,
-     "c12ef59c58f62c831c30cf524bf042d9ed6ac51ab9b2b087bf763765ff6f68e7"),
+     "64bb746fe83dd967e679fed3e7cf6125d302f2f87c31ad857a11ea5130b96703"),
     ("include x^6+108 x^3-2 --bound 3000", 271828, 0,
-     "d0dd4f050145b8c67487455b0333143d7b111e9dd7510bdb886e4364743ecc1f"),
+     "18d55bdcc03e55425f2236421ee7480013f900f9935b7371b7ab0a8cab6a93ac"),
     ("blowup --genus 3 --coeffs 1,2,3,4,5,6,7 -p 11", 271828, 0,
-     "b7cdb3f84a3002915f5805d9e70b3135d7fef206197b3951c24ce46192a2f959"),
+     "0706c2bce4f087b4152e5c9d30acde7b4df42c6aba1a6d64dfd24ab47d6a1022"),
     ("frobenius x^5-x-1 --bound 100 --ext-cap 2", 271828, 1, None),
     ("frobenius x^2+1 --bound 50", 271828, 1, None),
 ]
@@ -264,7 +298,7 @@ PINNED_RENDERINGS = [
     ("verify x^3-2 --bound 300", "csv",
      "7dc4e8679590e26c1cd6eef1063c090a45c1fc07763a30f4d2aa71be6b465b00"),
     ("frobenius x^5-x-1 --bound 60", "csv",
-     "df070be2357e46fd7c34d5c237e7471732c194c3ec60d63a655b5dacbf460a62"),
+     "ceb0d74de38382c6c8d7585d9748d66bb39b0e2e01cdbc9d1eec89e962d16bf3"),
     ("factor x^5-x-1 -p 31", "csv",
      "4b59b7570ae738fa73604b8ee5b8202610b16cc19c46cbd6a7a4437882847730"),
     ("torsion x^5-x-1 -p 43", "csv",
@@ -496,6 +530,34 @@ def test_frobenius_sign_is_checked_against_the_discriminant(monkeypatch, capsys)
     assert status == 3 and out == ""
     assert err.startswith("error: internal: RuntimeError: ")
     assert err.endswith("(at p = 3, seed 11:3)\n")
+
+
+def test_frobenius_roots_are_checked_to_be_one_orbit_per_factor(monkeypatch, capsys):
+    # with one root of a factor dropped, its least root's orbit is not what was found
+    real = torsion.roots_in
+
+    def one_short(f, ctx, seed):
+        roots = real(f, ctx, seed)
+        return roots[:-1] if len(roots) > 1 else roots
+
+    monkeypatch.setattr(torsion, "roots_in", one_short)
+    status, out, err = run_cli(capsys, "frobenius", "x^5-x-1", "--bound", "50", "--seed", "11")
+    assert status == 3 and out == ""
+    assert err.startswith("error: internal: RuntimeError: the roots of a degree-5 factor")
+    assert err.endswith("(at p = 3, seed 11:3)\n")
+
+
+def test_frobenius_matrix_order_is_checked_against_the_cycles(monkeypatch, capsys):
+    # the square of a matrix of even order has half that order: x^5-x-1 mod 7
+    # factors as 3 + 2, the first prime with an even order
+    real = reciprocity.permutation_matrix
+    monkeypatch.setattr(reciprocity, "permutation_matrix", lambda perm: real(perm) * real(perm))
+    status, out, err = run_cli(capsys, "frobenius", "x^5-x-1", "--bound", "50", "--seed", "11")
+    assert status == 3 and out == ""
+    assert err == (
+        "error: internal: RuntimeError: Frobenius matrix has order 3, its permutation 6 "
+        "(at p = 7, seed 11:7)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["factor", "torsion"])

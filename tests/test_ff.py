@@ -188,7 +188,7 @@ def test_f25_structure(f25):
 
 
 def test_degree_one_extension_mirrors_base():
-    ctx = ext_new(5, 1, seed=0)
+    ctx = ext_new(PrimeFieldContext(5), 1, seed=0)
     assert ctx.order == 5
     assert ctx.k == 1
     vals = {ctx.element(i) for i in range(5)}
@@ -196,9 +196,9 @@ def test_degree_one_extension_mirrors_base():
 
 
 def test_ext_new_is_reproducible_and_irreducible():
-    a = ext_new(7, 3, seed="trial")
-    b = ext_new(7, 3, seed="trial")
-    c = ext_new(7, 3, seed="trial-2")
+    a = ext_new(PrimeFieldContext(7), 3, seed="trial")
+    b = ext_new(PrimeFieldContext(7), 3, seed="trial")
+    c = ext_new(PrimeFieldContext(7), 3, seed="trial-2")
     assert a.modulus == b.modulus
     assert a == b
     # a different seed may pick a different (still valid) modulus
@@ -210,11 +210,11 @@ def test_ext_new_is_reproducible_and_irreducible():
 
 def test_ext_new_enforces_cap():
     with pytest.raises(ExtensionTooLarge):
-        ext_new(3, DEFAULT_EXT_CAP + 1, seed=0)
+        ext_new(PrimeFieldContext(3), DEFAULT_EXT_CAP + 1, seed=0)
     with pytest.raises(ExtensionTooLarge):
-        ext_new(3, 5, seed=0, cap=4)
+        ext_new(PrimeFieldContext(3), 5, seed=0, cap=4)
     with pytest.raises(ValueError):
-        ext_new(3, 0, seed=0)
+        ext_new(PrimeFieldContext(3), 0, seed=0)
 
 
 # The moduli the seeded search settles on. They fix the root labels in
@@ -235,7 +235,7 @@ def test_ext_new_enforces_cap():
     ],
 )
 def test_ext_new_moduli_are_pinned(p, k, seed, modulus):
-    assert ext_new(p, k, seed=seed).modulus == modulus
+    assert ext_new(PrimeFieldContext(p), k, seed=seed).modulus == modulus
 
 
 def sympy_powmod(a, e, m, p):
@@ -318,7 +318,7 @@ _cached_ext = functools.lru_cache(maxsize=None)(ext_new)
 @settings(max_examples=150, deadline=None)
 def test_flat_kernel_matches_the_reference(p, k, da, db, top, seed):
     """F_{p^k}[x] product, division, gcd and xgcd equal the context-generic loops."""
-    ctx = _cached_ext(p, k, seed=k)
+    ctx = _cached_ext(PrimeFieldContext(p), k, seed=k)
     rng = random.Random(seed)
 
     def poly(d):
@@ -354,7 +354,7 @@ def test_flat_kernel_matches_the_reference(p, k, da, db, top, seed):
 @settings(max_examples=120, deadline=None)
 def test_qpowmod_matches_mul_and_divmod(p, k, n, monic, is_x, length, e, seed):
     """F_{p^k}, k = 1 a degree-1 extension; deg m 1 to 8; a = x or up to 20 terms."""
-    ctx = _cached_ext(p, k, seed=k)
+    ctx = _cached_ext(PrimeFieldContext(p), k, seed=k)
     rng = random.Random(seed)
     m = [ctx.rand_raw(rng) for _ in range(n)]
     lead = ctx.rand_raw(rng)
@@ -369,7 +369,7 @@ def test_qpowmod_matches_mul_and_divmod(p, k, n, monic, is_x, length, e, seed):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 2), (7, 3), (65521, 4), (2**31 - 1, 7)])
 def test_qpowmod_fixed_cases(p, k):
-    ctx = ext_new(p, k, seed=0)
+    ctx = ext_new(PrimeFieldContext(p), k, seed=0)
     rng = random.Random(p * k)
     one = (ctx.one,)
     a = tuple(ctx.rand_raw(rng) for _ in range(6)) + (ctx.one,)
@@ -432,7 +432,7 @@ def test_distinct_degree_parts_are_equal_degree_products(p, low):
 @settings(max_examples=60, deadline=None)
 def test_extension_field_axioms(pk, seed, data):
     p, k = pk
-    ctx = ext_new(p, k, seed=seed)
+    ctx = ext_new(PrimeFieldContext(p), k, seed=seed)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     add, mul = ctx.add, ctx.mul
     x, y, z = (ctx.rand_raw(rng) for _ in range(3))
@@ -464,7 +464,7 @@ def test_zero_has_no_inverse_in_extension(f25):
 @settings(max_examples=60, deadline=None)
 def test_frobenius_is_a_ring_homomorphism(pk, data):
     p, k = pk
-    ctx = ext_new(p, k, seed=11)
+    ctx = ext_new(PrimeFieldContext(p), k, seed=11)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     x, y = ctx.rand_raw(rng), ctx.rand_raw(rng)
     fx, fy = ctx.frobenius(x), ctx.frobenius(y)
@@ -479,7 +479,7 @@ def test_frobenius_is_a_ring_homomorphism(pk, data):
 def test_frobenius_table_matches_the_power(p, k):
     # the table rows y^(p*j) reproduce a^p: on every element of the small
     # fields, on random ones where p is large
-    ctx = ext_new(p, k, seed=3)
+    ctx = ext_new(PrimeFieldContext(p), k, seed=3)
     rng = random.Random(p)
     for a in elements(ctx) if ctx.order <= 5000 else (ctx.rand_raw(rng) for _ in range(200)):
         want = _ppowmod(a, p, ctx.modulus, p)
@@ -488,7 +488,7 @@ def test_frobenius_table_matches_the_power(p, k):
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 2), (7, 2), (11, 2), (5, 3), (3, 7)])
 def test_frobenius_fixed_field_is_the_prime_field(p, k):
-    ctx = ext_new(p, k, seed=3)
+    ctx = ext_new(PrimeFieldContext(p), k, seed=3)
     assert ctx.order <= 5000
     embedded = {ctx.embed(c) for c in range(p)}
     fixed = {a for a in elements(ctx) if ctx.frobenius(a) == a}
@@ -497,7 +497,7 @@ def test_frobenius_fixed_field_is_the_prime_field(p, k):
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (13, 2)])
 def test_frobenius_has_order_k(p, k):
-    ctx = ext_new(p, k, seed=5)
+    ctx = ext_new(PrimeFieldContext(p), k, seed=5)
     rng = random.Random(0xF00)
     for _ in range(20):
         a = ctx.rand_raw(rng)

@@ -117,7 +117,7 @@ def test_divisor_validation():
 
 
 def test_divisors_work_over_extension_fields():
-    ext = ext_new(5, 2, seed=4)
+    ext = ext_new(PrimeFieldContext(5), 2, seed=4)
     f = embed_poly(Polynomial(PrimeFieldContext(5), [-2, 0, 0, 1]), ext)
     C = HyperellipticCurve(f)
     roots = [a for a in elements(ext) if evaluate(f, a) == ext.zero]
@@ -181,7 +181,7 @@ def zeta_order(p, coeffs, genus):
     f = Polynomial(PrimeFieldContext(p), coeffs)
     counts = []
     for k in range(1, genus + 1):
-        ctx = ext_new(p, k, seed=0)  # k = 1 is F_p itself, relabelled
+        ctx = ext_new(PrimeFieldContext(p), k, seed=0)  # k = 1 is F_p itself, relabelled
         fk = embed_poly(f, ctx)
         affine = 0
         for a in elements(ctx):

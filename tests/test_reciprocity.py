@@ -313,6 +313,16 @@ def test_only_the_torsion_side_builds_a_prime_field(monkeypatch):
     assert tested == good_primes(CUBE, 3000)
 
 
+def test_frobenius_tests_each_good_prime_once(monkeypatch):
+    # the splitting field is built on the F_p that reduce_mod made, so p is
+    # tested for primality there only, not again by ext_new
+    tested = []
+    is_prime = ff.is_prime
+    monkeypatch.setattr(ff, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    frobenius_sweep(CUBE, 300)
+    assert tested == good_primes(CUBE, 300) and len(tested) == 60
+
+
 def test_only_square_discriminants_reach_the_kernel_power(monkeypatch):
     # (disc f / p) = -1 answers False by Stickelberger before x^p mod f runs
     calls = []
@@ -351,10 +361,12 @@ def test_verify_runs_no_prime_field_context_arithmetic(monkeypatch):
 
 
 def test_frobenius_builds_one_field_per_prime(monkeypatch):
-    # roots are found in one kind of field: F_p too is built, as ext_new(p, 1)
+    # roots are found in one kind of field: F_p too is built, as ext_new(F_p, 1)
     calls = []
     ext_new = ff.ext_new
-    monkeypatch.setattr(ff, "ext_new", lambda p, *a, **kw: calls.append(p) or ext_new(p, *a, **kw))
+    monkeypatch.setattr(
+        ff, "ext_new", lambda base, *a, **kw: calls.append(base.p) or ext_new(base, *a, **kw)
+    )
     frobenius_sweep(CUBE, 300)
     assert calls == good_primes(CUBE, 300) and len(calls) == 60
 

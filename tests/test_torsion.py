@@ -214,19 +214,19 @@ def matrix_from_permutation(perm):
 @pytest.mark.parametrize(
     "p,matrix,order",
     [
-        # the split case is seed-independent; the others pin the seed=1
-        # root ordering, while the order is an invariant of the conjugacy
-        # class and would survive any reordering
+        # roots are labelled by factor, then along each Frobenius orbit, so
+        # the matrix follows from the factor degrees alone: 1+1+1, 1+2, 3
         (31, [[1, 0], [0, 1]], 1),
-        (5, [[0, 1], [1, 0]], 2),
-        (7, [[1, 1], [1, 0]], 3),
+        (5, [[1, 1], [0, 1]], 2),
+        (7, [[0, 1], [1, 1]], 3),
     ],
 )
 def test_frozen_cubic_frobenius_matrices(p, matrix, order):
     f = Polynomial(PrimeFieldContext(p), [-2, 0, 0, 1])
-    M = permutation_matrix(frobenius_permutation(f, p, seed=1))
-    assert M.to_lists() == matrix
-    assert M.order() == order
+    for seed in (1, 2):
+        M = permutation_matrix(frobenius_permutation(f, p, seed=seed))
+        assert M.to_lists() == matrix
+        assert M.order() == order
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 43])
