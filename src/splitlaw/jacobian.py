@@ -10,7 +10,9 @@ constructor does not check these conditions; its callers build pairs that
 meet them, and tests/oracles.py has a checked constructor. Addition
 is Cantor composition followed by reduction. The composition runs the full
 gcd(u1, u2, v1 + v2) branch, which is essential here: sums of 2-torsion
-classes (v = 0) always land in the degenerate case.
+classes (v = 0) always land in the degenerate case. two_torsion_points,
+which verify and torsion run, walks sums of such classes past degree g, so
+the reduction loop runs on those commands.
 
 For odd-degree models there is a single point at infinity and reduced
 representatives are unique, so equality of classes is syntactic equality of

@@ -2,10 +2,12 @@
 
 For y^2 = f(x) with f monic squarefree of odd degree 2g+1, every 2-torsion
 class has a unique reduced representative (u, 0) with u a monic divisor of
-f and deg u <= g. Subsets of the irreducible factors of f whose degrees sum
-to at most g give exactly one representative per complement pair (the total
-degree 2g+1 is odd, so exactly one of S, S^c stays within g), which yields
-the 2^(n-1) count for n distinct factors.
+f and deg u <= g: the total degree 2g+1 is odd, so exactly one of u and f/u
+stays within g. With n distinct irreducible factors h_1..h_n of f the
+group is (Z/2Z)^(n-1), generated by the classes (h_i, 0) for i < n. Their
+degrees sum to 2g+1, so at most one h_i has degree above g, and factorize's
+order puts it last; each generator is therefore already reduced.
+two_torsion_points walks the group from them with Cantor add.
 
 Over the splitting field, the classes v_i = (x - r_i, 0) of the 2g+1 roots
 span the full 2-torsion with the one relation v_{2g+1} = v_1 + ... + v_2g,
@@ -41,49 +43,41 @@ class TwoTorsionSubgroup:
     n: int  # distinct irreducible factors of f
     factorization: Factorization  # of f, the source of the elements
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def two_torsion_points(C: HyperellipticCurve, seed) -> TwoTorsionSubgroup:
     """The full rational 2-torsion subgroup of the Jacobian of C.
 
-    Elements are the classes (u, 0) for monic u | f with deg u <= g, built
-    from subsets of the irreducible factors of f; that u divides f rests on
-    factorize's multiply-back check. Each element is also doubled to the
-    identity, which holds for any monic u with v = 0, so it checks the
-    group law rather than membership. Rank is n - 1. A repeated factor of f
-    raises NotSquarefree: HyperellipticCurve leaves that check to here.
+    The generators are the classes (h_i, 0) of all irreducible factors of f
+    but the last, in factorize's order; rank is their count, n - 1. The walk
+    starts at the identity and visits the 2^(n-1) subset sums in Gray-code
+    order, one Cantor add per step: step i adds generator j, the lowest set
+    bit of i. Sums above degree g go through add's reduction, u -> f/u. The
+    walk ends on the last generator, so one more add of it, a doubling,
+    must give the identity. RuntimeError if a walked class is not reduced
+    with v = 0, if the walk does not close, or if two walked classes share
+    u. A repeated factor of f raises NotSquarefree: HyperellipticCurve
+    leaves that check to here.
     """
-    f = C.f
-    g = C.genus
-    fact = factorize(f, seed)
+    fact = factorize(C.f, seed)
     if any(m > 1 for _, m in fact.factors):
         raise NotSquarefree("curve polynomial has a repeated root")
-    ctx = f.ctx
-    parts = [p.coeffs for p, _ in fact.factors]
-    n = len(parts)
-    elements = []
-    for mask in range(1 << n):
-        total = sum(len(parts[i]) - 1 for i in range(n) if mask >> i & 1)
-        if total > g:
-            continue
-        u = (1,)
-        for i in range(n):
-            if mask >> i & 1:
-                u = ff._pmul(u, parts[i], ctx.p)
-        D = MumfordDivisor(C, Polynomial._raw(ctx, u), Polynomial.zero(ctx))
-        if not add(D, D).is_identity:
-            raise RuntimeError(f"candidate {D!r} failed the doubling check")
+    ctx = C.f.ctx
+    zero = Polynomial.zero(ctx)
+    gens = [MumfordDivisor(C, h, zero) for h, _ in fact.factors[:-1]]
+    D = MumfordDivisor(C, Polynomial._raw(ctx, (1,)), zero)
+    elements = [D]
+    for i in range(1, 1 << len(gens)):
+        D = add(D, gens[(i & -i).bit_length() - 1])
+        if not D.v.is_zero or D.u.degree > C.genus:
+            raise RuntimeError(f"walked class {D!r} is not reduced with v = 0")
         elements.append(D)
+    if gens and not add(D, gens[-1]).is_identity:
+        raise RuntimeError("the Gray-code walk of the 2-torsion does not close")
+    if len({D.u for D in elements}) != len(elements):
+        raise RuntimeError("the Gray-code walk of the 2-torsion repeats a class")
     elements.sort(key=MumfordDivisor.key)
-    rank = n - 1
-    if len(elements) != 1 << rank:
-        raise RuntimeError(
-            f"found {len(elements)} two-torsion classes, expected {1 << rank}"
-        )
     return TwoTorsionSubgroup(
-        elements=tuple(elements), rank=rank, n=n, factorization=fact
+        elements=tuple(elements), rank=len(gens), n=len(fact.factors), factorization=fact
     )
 
 

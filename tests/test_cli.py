@@ -29,6 +29,8 @@ from splitlaw import (
     torsion,
 )
 from splitlaw.cli import _cell, main, parse_polynomial
+from splitlaw.jacobian import MumfordDivisor
+from splitlaw.poly import Polynomial, _exact_div_raw, _gcd_raw, _mul_raw
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +516,32 @@ def test_torsion_factor_count_is_checked_against_the_discriminant(monkeypatch, c
     assert status == 3 and out == ""
     assert err.startswith("error: internal: RuntimeError: ")
     assert err.endswith("(at p = 5, seed 11:5)\n")
+
+
+def unreduced_add(D1, D2):
+    """Cantor composition without reduction; for v = 0 it is (u1 u2 / gcd(u1, u2)^2, 0)."""
+    ctx, u1, u2 = D1.u.ctx, D1.u.coeffs, D2.u.coeffs
+    d = _gcd_raw(ctx, u1, u2)
+    u = _exact_div_raw(ctx, _mul_raw(ctx, u1, u2), _mul_raw(ctx, d, d))
+    return MumfordDivisor(D1.curve, Polynomial._raw(ctx, u), D1.v)
+
+
+@pytest.mark.parametrize(
+    "fault, message, p",
+    [
+        # x^3-2 splits first at 31, where the walk's second sum has degree 2 > g
+        (unreduced_add, "is not reduced with v = 0", 31),
+        (lambda a, b: b, "the Gray-code walk of the 2-torsion does not close", 5),
+        (lambda a, b: a, "the Gray-code walk of the 2-torsion repeats a class", 5),
+    ],
+    ids=["reduced", "closed", "distinct"],
+)
+def test_two_torsion_walk_is_checked(monkeypatch, capsys, fault, message, p):
+    monkeypatch.setattr(torsion, "add", fault)
+    status, out, err = run_cli(capsys, "verify", "x^3-2", "--bound", "200", "--seed", "11")
+    assert status == 3 and out == ""
+    assert err.startswith("error: internal: RuntimeError: ") and message in err
+    assert err.endswith(f"(at p = {p}, seed 11:{p})\n")
 
 
 def test_frobenius_sign_is_checked_against_the_discriminant(monkeypatch, capsys):

@@ -38,7 +38,8 @@ from splitlaw import (
     two_torsion_points,
     verify_law,
 )
-from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, ff, poly, reciprocity
+from splitlaw import HyperellipticCurve, Polynomial, PrimeFieldContext, ff, jacobian, poly
+from splitlaw import reciprocity, torsion
 
 X = sympy.Symbol("x")
 CUBE = IntegerPolynomial([-2, 0, 0, 1])  # x^3 - 2
@@ -346,9 +347,24 @@ def test_verify_takes_one_derivative_per_prime(monkeypatch):
     assert len(calls) == len(good_primes(CUBE, 3000)) == 428
 
 
+def test_verify_walks_the_two_torsion_with_cantor_add(monkeypatch):
+    # 2^(n-1) adds at each prime with n > 1 factors: 2^(n-1) - 1 walk steps
+    # and the closing doubling. Where the cubic splits (g = 1), the steps
+    # h1 + h2 and h3 + h1 have degree 2 and each takes one reduction.
+    adds, reductions = [], []
+    add, monic = torsion.add, jacobian._monic_raw
+    monkeypatch.setattr(torsion, "add", lambda a, b: adds.append(a) or add(a, b))
+    monkeypatch.setattr(jacobian, "_monic_raw", lambda ctx, a: reductions.append(a) or monic(ctx, a))
+    report = verify_law(CUBE, 3000)
+    sizes = [len(r.splitting.pairs) for r in report.records]
+    assert len(adds) == sum(1 << (n - 1) for n in sizes if n > 1) == 714
+    assert len(reductions) == 2 * sizes.count(3) == 136
+
+
 def test_verify_runs_no_prime_field_context_arithmetic(monkeypatch):
-    # factorization, the subset products and the doubling of v = 0 classes
-    # all run on ff's int-tuple kernel, not element by element
+    # factorization and the Cantor adds and reductions of the 2-torsion walk,
+    # whose classes all have v = 0, run on ff's int-tuple kernel, not
+    # element by element
     calls = []
     for name in ("add", "sub", "mul", "neg", "inv"):
         method = getattr(PrimeFieldContext, name)

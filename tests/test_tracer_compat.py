@@ -5,10 +5,12 @@ The tracer replaces public functions and methods of the package by name
 renaming or deleting one breaks traced runs while every plain run passes.
 Each command here runs twice in a subprocess, under the tracer and plain:
 the traced run must exit 0, write a metrics document, and write the same
-report bytes as the plain one. On the quintic's frobenius sweep, the
-counters that perfbench/check_spans.py requires of its frobenius-quintic
-workload must be nonzero, so moving the F_{p^k} kernel cannot leave one
-of them recording nothing.
+report bytes as the plain one. On the cubic's verify sweep and the
+quintic's frobenius sweep, counters that perfbench/check_spans.py
+requires of its verify and frobenius-quintic workloads must be nonzero
+(for verify, those of the splitting test, factorize, Cantor add and the
+2-torsion build), so moving a kernel cannot leave one of them recording
+nothing.
 """
 
 import json
@@ -25,8 +27,14 @@ COMMANDS = [
     ["frobenius", "x^5-x-1", "--bound", "60"],
     ["frobenius", "x^3-2", "--bound", "300"],  # some primes split f: roots in ext_new(p, 1)
 ]
-# counters each command's traced run must record (check_spans.py's frobenius-quintic list)
+# counters a command's traced run must record (from perfbench/check_spans.py)
 EXERCISED = {
+    0: (
+        "reciprocity.split.calls",
+        "poly.factorize.calls",
+        "jacobian.add.calls",
+        "torsion.two_torsion.calls",
+    ),
     1: (
         "poly.pow_mod.calls",
         "poly.roots_in.calls",
